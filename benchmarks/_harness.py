@@ -191,12 +191,12 @@ def run_daisy_batch(
     label: str = "Daisy (batched)",
     dc_error_threshold: float = 0.2,
     backend: str = BACKEND_COLUMNAR,
-    rule_sharing: bool = True,
+    batch_strategy: str = "shared",
 ) -> RunResult:
     """Execute a workload through ``Session.execute_batch``.
 
-    ``rule_sharing=False`` runs the same entry point with sharing disabled
-    (the A/B control: sequential semantics through the batch API).
+    ``batch_strategy="sequential"`` runs the same entry point with sharing
+    disabled (the A/B control: sequential semantics through the batch API).
     """
     daisy = _make_daisy(
         relation, rules, table,
@@ -204,7 +204,7 @@ def run_daisy_batch(
             use_cost_model=False,
             dc_error_threshold=dc_error_threshold,
             backend=backend,
-            batch_rule_sharing=rule_sharing,
+            batch_strategy=batch_strategy,
         ),
     )
     with daisy.connect() as session:

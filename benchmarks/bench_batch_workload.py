@@ -53,7 +53,7 @@ def _run_all():
     )
     dirty2, fd2, queries2 = _setup()
     unshared = run_daisy_batch(
-        dirty2, [fd2], queries2, rule_sharing=False,
+        dirty2, [fd2], queries2, batch_strategy="sequential",
         label="Daisy batch (no sharing)",
     )
     dirty3, fd3, queries3 = _setup()
@@ -88,7 +88,7 @@ def test_batch_workload(benchmark):
                 "seconds": unshared.seconds,
                 "work_units": unshared.work_units,
             },
-            "batch_rule_sharing": {
+            "batch_shared": {
                 "seconds": batched.seconds,
                 "work_units": batched.work_units,
                 **batched.extras,

@@ -93,7 +93,8 @@ def test_fig10_estimator_escalates_at_high_rate(benchmark):
         d = Daisy(use_cost_model=False, dc_error_threshold=0.2)
         d.register_table("lineorder", dirty)
         d.add_rule("lineorder", price_discount_dc())
-        d.execute(queries[0])
+        with d.connect() as session:
+            session.execute(queries[0])
         state = d.states["lineorder"]
         return state.is_fully_cleaned(price_discount_dc())
 

@@ -30,7 +30,8 @@ def _daisy_cleaned(inst, rules):
     for rule in rules:
         d.add_rule("hospital", rule)
     # The paper's 4 SP queries covering the dataset; a full-coverage scan.
-    d.execute("SELECT * FROM hospital WHERE zip >= 0 AND zip < 99999")
+    with d.connect() as session:
+        session.execute("SELECT * FROM hospital WHERE zip >= 0 AND zip < 99999")
     d.clean_table("hospital")
     return d.table("hospital")
 

@@ -37,8 +37,9 @@ def _run(num_rules: int):
     for rule in rules:
         d.add_rule("hospital", rule)
     started = time.perf_counter()
-    d.execute("SELECT * FROM hospital WHERE zip >= 0 AND zip < 99999")
-    d.execute("SELECT zip, city FROM hospital WHERE city >= ''")
+    with d.connect() as session:
+        session.execute("SELECT * FROM hospital WHERE zip >= 0 AND zip < 99999")
+        session.execute("SELECT zip, city FROM hospital WHERE city >= ''")
     daisy_s = time.perf_counter() - started
 
     inst3 = _instance()

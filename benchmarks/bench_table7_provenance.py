@@ -34,7 +34,8 @@ def _three_separate_runs():
         for rule in fresh.rules[:upto]:
             d.add_rule("hospital", rule)
         started = time.perf_counter()
-        d.execute(FULL_SCAN)
+        with d.connect() as session:
+            session.execute(FULL_SCAN)
         d.clean_table("hospital")
         total += time.perf_counter() - started
     return total
@@ -46,12 +47,13 @@ def _single_incremental_run():
     d = Daisy(use_cost_model=False)
     d.register_table("hospital", inst.dirty)
     total = 0.0
-    for rule in inst.rules:
-        started = time.perf_counter()
-        d.add_rule("hospital", rule)
-        d.execute(FULL_SCAN)
-        d.clean_table("hospital")
-        total += time.perf_counter() - started
+    with d.connect() as session:
+        for rule in inst.rules:
+            started = time.perf_counter()
+            d.add_rule("hospital", rule)
+            session.execute(FULL_SCAN)
+            d.clean_table("hospital")
+            total += time.perf_counter() - started
     return total
 
 

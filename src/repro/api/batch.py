@@ -26,8 +26,10 @@ model): ``"shared"`` (default) always runs the shared pass, ``"sequential"``
 always cleans per query, and ``"auto"`` lets the session's
 :class:`~repro.core.AdaptivePlanner` price the two from the members' scope
 estimates plus calibrated observed work — multi-member groups with
-overlapping scopes share, single-member groups go sequential so the
-Section 5.2.3 strategy switch keeps seeing them.  Whatever is chosen, query
+overlapping scopes share, single-member groups go sequential (identical
+work without the pass overhead).  Queries inside a batch never feed the
+Section 5.2.3 cost model, whichever strategy runs them: the batch's
+cleaning strategy is the batch's own.  Whatever is chosen, query
 results and repaired relations are byte-identical across strategies; the
 recorded :class:`~repro.core.costmodel.PassDecision` (on
 :class:`RuleGroupReport.decision` and ``report.decisions``) shows both
@@ -236,13 +238,7 @@ def run_batch(session: "Session", queries: Sequence[BatchQuery]) -> BatchResult:
     work_before = session.total_work()
     decision_mark = session.planner.mark()
 
-    # The effective strategy: batch_rule_sharing=False forces the
-    # sequential path outright (the pre-config-knob A/B switch).
-    strategy = (
-        session.config.batch_strategy
-        if session.config.batch_rule_sharing
-        else BATCH_SEQUENTIAL
-    )
+    strategy = session.config.batch_strategy
 
     # -- analysis: group single-table cleaning plans by (table, rules, filter attrs)
     share: list[_Group | None] = [None] * len(prepared)
@@ -343,9 +339,7 @@ def run_batch(session: "Session", queries: Sequence[BatchQuery]) -> BatchResult:
             # so plain execution suffices — no per-query cleaning operator.
             result = session._route_prepared(prep)
         else:
-            result = session._execute_prepared(
-                prep, (), observe=session.config.batch_observe_cost_model
-            )
+            result = session._execute_prepared(prep, (), observe=False)
         entry = session.query_log[-1]
         workload.entries.append(entry)
         if entry.switched_to_full and workload.switch_query_index is None:

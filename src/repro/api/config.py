@@ -7,12 +7,14 @@ session's behaviour stable for its whole lifetime: two sessions connected
 with different configs can run side by side over the same registered tables
 without trampling each other's strategy state.
 
-Two knobs accept ``"auto"`` — ``parallelism`` and ``batch_strategy`` — and
-hand the choice to the session's :class:`repro.core.AdaptivePlanner`, which
+Four knobs accept ``"auto"``.  ``parallelism`` and ``batch_strategy`` hand
+the choice to the session's :class:`repro.core.AdaptivePlanner`, which
 prices the alternatives per pass from table statistics plus calibrated
-observed work (see ``docs/cost-model.md``).  Every adaptive choice is
-byte-identical to the corresponding forced configuration in violations,
-repairs, and merged work units; only wall-clock cost depends on it.
+observed work; ``column_backend`` and ``storage`` resolve once per table by
+a static rule on its size (see ``docs/cost-model.md``).  Every ``auto``
+choice is byte-identical to the corresponding forced configuration in
+violations, repairs, and merged work units; only wall-clock cost depends on
+it.
 """
 
 from __future__ import annotations
@@ -76,13 +78,6 @@ class DaisyConfig:
         Execution backend for the detection/cleaning hot path:
         ``"columnar"`` (default) or ``"rowstore"`` (the per-Row semantics
         oracle — both return identical results).
-    batch_rule_sharing:
-        When true (default), :meth:`repro.api.Session.execute_batch` groups
-        the batch's plans by the rules their clean-nodes touch and can run
-        one shared relaxation/detection pass per rule group before answering
-        the member queries.  When false, ``execute_batch`` degrades to the
-        sequential per-query path regardless of ``batch_strategy`` (useful
-        for A/B measurements).
     batch_strategy:
         Per-rule-group arbitration inside ``execute_batch``: ``"shared"``
         (default — every rule group runs one shared pass, the pre-adaptive
@@ -91,14 +86,11 @@ class DaisyConfig:
         :class:`~repro.core.AdaptivePlanner` prices "shared pass now"
         against "incremental per query" per rule group from the members'
         scope estimates plus calibrated observed work).  All three are
-        byte-identical in query results and repairs; they differ in work
-        units and in whether the Section 5.2.3 strategy switch sees the
-        member queries.
-    batch_observe_cost_model:
-        Whether queries executed inside a batch also feed the cost model.
-        Off by default: the shared pass *is* the batch's cleaning strategy,
-        and rule-group members report zero residual errors, which would
-        only skew the model's per-query averages.
+        byte-identical in query results and repairs and differ only in
+        work units; none of them feeds batch queries to the Section 5.2.3
+        cost model — the batch's cleaning strategy is the batch's own, and
+        rule-group members report zero residual errors, which would only
+        skew the model's per-query averages.
     parallelism:
         Worker count for the session's executor pool, or ``"auto"``.  ``1``
         (default) keeps every path on the serial oracle; ``> 1`` fans
@@ -128,9 +120,9 @@ class DaisyConfig:
         argsort sorted-index construction, searchsorted join windows,
         boundary-detection grouping, boolean-mask filters), ``"python"``
         (the pure-list semantics oracle, dependency-free), or ``"auto"``
-        (default — the adaptive planner prices the choice per table from
-        its row count and the ``kernel`` calibration bucket; NumPy absent
-        forces ``"python"``).  Like ``backend`` this is data-scoped: it is
+        (default — NumPy from :data:`~repro.relation.kernels.AUTO_MIN_ROWS`
+        rows up, resolved once per table; NumPy absent forces
+        ``"python"``).  Like ``backend`` this is data-scoped: it is
         baked into each table at registration and a connecting session
         must agree with it.  All choices are byte-identical in violations,
         repairs, relations, sort orders, and work units (see
@@ -154,8 +146,9 @@ class DaisyConfig:
         spill *plus* a SQLite mirror that serves selection filters,
         order-by, and inequality-join candidate windows as indexed range
         scans, returning only candidate position sets), or ``"auto"``
-        (the adaptive planner prices the three per table at session
-        connect and pins the choice — see ``docs/cost-model.md``).  Like
+        (resolved once per table: memory while it fits
+        ``memory_budget_mb``, else ``"sqlite"`` if it carries a general DC
+        and ``"mmap"`` otherwise — see ``docs/cost-model.md``).  Like
         ``backend`` this is data-scoped: baked into each table at
         registration, and a connecting session must agree with it.  All
         modes are byte-identical in violations, repairs, relations, sort
@@ -180,9 +173,7 @@ class DaisyConfig:
     expected_queries: int = 50
     dc_error_threshold: float = 0.2
     backend: str = BACKEND_COLUMNAR
-    batch_rule_sharing: bool = True
     batch_strategy: str = BATCH_SHARED
-    batch_observe_cost_model: bool = False
     parallelism: int | str = 1
     num_shards: int = 0
     pool: str = POOL_THREAD

@@ -46,9 +46,7 @@ from repro.query.executor import Executor, QueryResult
 from repro.query.logical import CleanJoinNode, CleanSigmaNode, PlanNode, plan_contains
 from repro.query.planner import build_plan, explain as explain_plan, resolve_query
 from repro.query.sql import parse_sql
-from repro.relation.kernels import COLUMN_AUTO
 from repro.relation.relation import Relation
-from repro.storage.modes import STORAGE_AUTO
 
 from repro.api.batch import BatchQuery, BatchResult, run_batch
 from repro.api.config import DaisyConfig
@@ -183,34 +181,6 @@ class Session:
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self._closed = False
-        # Price the column_backend="auto" knob for every registered table
-        # and pin the first concrete choice (data-scoped, like `backend`).
-        # Both alternatives are byte-identical in all outputs, so the
-        # decision — recorded in the planner log like any other — moves
-        # wall-clock time only; tables registered after connect resolve
-        # statically until another session connects.
-        if self.config.column_backend == COLUMN_AUTO:
-            for table_name, state in self.states.items():
-                if state.column_backend == COLUMN_AUTO:
-                    decision = self.planner.choose_column_backend(
-                        table_name, len(state.relation.rows)
-                    )
-                    state.pin_column_backend(decision.choice)
-        # Price the storage="auto" knob the same way.  Storage, too, is
-        # data-scoped and byte-identical across alternatives: the pinned
-        # mode decides where column bytes live (RAM, mmap stripes, or the
-        # SQLite pushdown mirror), never what the engine computes.
-        if self.config.storage == STORAGE_AUTO:
-            for table_name, state in self.states.items():
-                if state.storage == STORAGE_AUTO:
-                    decision = self.planner.choose_storage(
-                        table_name,
-                        len(state.relation.rows),
-                        len(state.relation.schema.names),
-                        self.config.memory_budget_mb,
-                        theta_rules=bool(state.dc_rules()),
-                    )
-                    state.pin_storage(decision.choice)
 
     # -- lifecycle -------------------------------------------------------------------
 

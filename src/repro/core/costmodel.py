@@ -11,10 +11,10 @@ Three layers, bottom up:
   estimates from :mod:`repro.core.statistics`).
 * **:class:`CostCalibration`** — a feedback loop from *observed*
   :class:`~repro.engine.stats.WorkCounter` totals back into the estimates:
-  per pass kind (``"dc_check"``, ``"fd_relax"``, ``"batch"``) an EWMA of
-  the observed/estimated work ratio rescales every later estimate of that
-  kind, so the planner's prices track what passes actually cost on this
-  workload.
+  per pass kind (``"dc_check"``, ``"fd_relax"``, ``"batch"``,
+  ``"admission"``) an EWMA of the observed/estimated work ratio rescales
+  every later estimate of that kind, so the planner's prices track what
+  passes actually cost on this workload.
 * **:class:`AdaptivePlanner`** — the session-owned arbiter that prices
   every remaining per-pass decision in the same work-unit currency:
 
@@ -27,7 +27,15 @@ Three layers, bottom up:
   3. per rule group, "shared pass now" vs "incremental per query" inside
      :meth:`repro.api.Session.execute_batch`
      (:meth:`AdaptivePlanner.choose_batch_strategy` —
-     ``DaisyConfig(batch_strategy="auto")``).
+     ``DaisyConfig(batch_strategy="auto")``),
+  4. admit / delay / shed for one service request
+     (:meth:`AdaptivePlanner.choose_admission`).
+
+  ``column_backend="auto"`` and ``storage="auto"`` are *not* priced here:
+  their alternatives share one calibration factor, so the verdict never
+  leaves the static rules in
+  :func:`repro.relation.kernels.resolve_column_backend` and
+  :func:`repro.storage.modes.resolve_storage_mode`.
 
   Every decision is recorded as a :class:`PassDecision` (choice, the
   estimates of every alternative, and — once the pass ran — the observed
@@ -255,8 +263,6 @@ class CostModel:
 DECISION_POOL = "pool"
 DECISION_BATCH = "batch_strategy"
 DECISION_STRATEGY = "strategy_switch"
-DECISION_COLUMN_BACKEND = "column_backend"
-DECISION_STORAGE = "storage"
 DECISION_ADMISSION = "admission"
 
 #: Calibration buckets (``PassDecision.pass_kind``): one observed/estimated
@@ -264,8 +270,6 @@ DECISION_ADMISSION = "admission"
 PASS_DC_CHECK = "dc_check"
 PASS_FD_RELAX = "fd_relax"
 PASS_BATCH = "batch"
-PASS_KERNEL = "kernel"
-PASS_STORAGE = "storage"
 PASS_ADMISSION = "admission"
 
 
@@ -394,20 +398,12 @@ class AdaptivePlanner:
     THREAD_EFFICIENCY = 0.5
     #: Modeled fixed setup cost of one cleaning pass (batch arbitration).
     BATCH_PASS_OVERHEAD = 32.0
-    #: Kernel-backend pricing: fixed ndarray construction / dtype-inference
-    #: overhead per index build, and the modeled per-unit advantage of the
-    #: vectorized kernels over the pure-Python loops.  336 = 64·log2(64) ×
-    #: (1 − 1/KERNEL_SPEEDUP): the uncalibrated tipping point sits at the
-    #: same 64-row threshold the static ``column_backend="auto"`` resolver
-    #: uses (:data:`repro.relation.kernels.AUTO_MIN_ROWS`).
-    KERNEL_OVERHEAD = 336.0
-    KERNEL_SPEEDUP = 8.0
     #: Modeled cleaning cost per scope tuple relative to one filter/routing
     #: charge per answer tuple (a relaxation + detection + repair sweep
     #: touches a tuple many times; an index-served filter once).
     BATCH_CLEAN_WEIGHT = 8.0
-    #: Decision-log cap: long-lived sessions (e.g. the engine's cached
-    #: default session) must not grow memory linearly in queries executed.
+    #: Decision-log cap: long-lived sessions (e.g. a service client's) must
+    #: not grow memory linearly in queries executed.
     MAX_DECISIONS = 4096
 
     def __init__(
@@ -443,6 +439,37 @@ class AdaptivePlanner:
         """Decisions appended since ``mark`` (minus any the cap discarded)."""
         start = max(0, mark - self.decisions_dropped)
         return list(self.decisions[start:])
+
+    def _decide(
+        self,
+        kind: str,
+        pass_kind: str,
+        table: str,
+        alternatives: dict[str, float],
+        raw_units: float,
+        choice: str | None = None,
+    ) -> PassDecision:
+        """Build and log one decision — the only place a
+        :class:`PassDecision` is constructed.
+
+        ``alternatives`` maps every option considered to its modeled cost;
+        ``choice`` is the caller's verdict where a rule beyond "cheapest"
+        applies (batch, admission, strategy), else the cheapest alternative
+        wins with ties broken by key order.
+        """
+        if choice is None:
+            choice = min(alternatives, key=lambda k: (alternatives[k], k))
+        decision = PassDecision(
+            kind=kind,
+            pass_kind=pass_kind,
+            table=table,
+            choice=choice,
+            estimated_cost=alternatives[choice],
+            raw_units=float(raw_units),
+            alternatives=alternatives,
+        )
+        self._append(decision)
+        return decision
 
     def observe(self, decision: PassDecision, observed_units: float) -> None:
         """Record a pass's actual work units and feed the calibration.
@@ -494,149 +521,22 @@ class AdaptivePlanner:
         chosen worker count.  The decision is appended to the log; call
         :meth:`observe` with the pass's counter delta afterwards.
         """
-        alternatives = self.pool_alternatives(pass_kind, raw_units)
-        choice = min(alternatives, key=lambda k: (alternatives[k], k))
-        if choice == "serial":
+        decision = self._decide(
+            DECISION_POOL,
+            pass_kind,
+            table,
+            self.pool_alternatives(pass_kind, raw_units),
+            raw_units,
+        )
+        if decision.choice == "serial":
             plan = PoolPlan("serial", 1, 1)
         else:
-            kind, _, workers_text = choice.partition(":")
+            kind, _, workers_text = decision.choice.partition(":")
             workers = int(workers_text)
             plan = PoolPlan(kind, workers, num_shards or workers)
-        decision = PassDecision(
-            kind=DECISION_POOL,
-            pass_kind=pass_kind,
-            table=table,
-            choice=plan.label(),
-            estimated_cost=alternatives[choice],
-            raw_units=float(raw_units),
-            alternatives=alternatives,
-        )
-        self._append(decision)
+        # The log shows the full execution shape, shard count included.
+        decision.choice = plan.label()
         return plan, decision
-
-    # -- (2b) per-table column-kernel backend ---------------------------------------
-
-    def choose_column_backend(self, table: str, n_rows: int) -> PassDecision:
-        """Price the ``column_backend="auto"`` knob for one table.
-
-        Both alternatives are byte-identical in every output (the kernel
-        parity invariant), so this decision is pure wall-clock pricing: a
-        representative index build costs ``n·log2(n)`` units on the
-        pure-Python path, versus a fixed ndarray-construction overhead
-        plus the same units shrunk by the modeled vectorization speedup —
-        rescaled by the ``kernel`` calibration bucket as observations of
-        kernel-heavy passes arrive.  Tiny tables stay on the Python path
-        (the overhead dominates); NumPy being absent forces it.  The
-        decision lands in the log like any other strategy choice.
-        """
-        from repro.relation.kernels import COLUMN_NUMPY, COLUMN_PYTHON, HAVE_NUMPY
-
-        units = float(n_rows) * math.log2(max(2, n_rows))
-        python_est = self.calibration.calibrated(PASS_KERNEL, units)
-        numpy_raw = self.KERNEL_OVERHEAD + units / self.KERNEL_SPEEDUP
-        numpy_est = self.calibration.calibrated(PASS_KERNEL, numpy_raw)
-        alternatives = {COLUMN_PYTHON: python_est}
-        if HAVE_NUMPY:
-            alternatives[COLUMN_NUMPY] = numpy_est
-            choice = COLUMN_NUMPY if numpy_est <= python_est else COLUMN_PYTHON
-        else:
-            choice = COLUMN_PYTHON
-        decision = PassDecision(
-            kind=DECISION_COLUMN_BACKEND,
-            pass_kind=PASS_KERNEL,
-            table=table,
-            choice=choice,
-            estimated_cost=alternatives[choice],
-            raw_units=units,
-            alternatives=alternatives,
-        )
-        self._append(decision)
-        return decision
-
-    # -- (2c) per-table storage backend ---------------------------------------------
-
-    #: Storage pricing: fixed spill cost (stripe encode of the whole table,
-    #: amortized over the session), the modeled per-unit drag of decoding
-    #: mmap-ed chunks on reload, the extra one-off cost of building the
-    #: SQLite mirror + indexes, and the modeled per-unit advantage of
-    #: serving filters/windows as indexed range scans instead of full
-    #: column materialization.
-    STORAGE_SPILL_OVERHEAD = 512.0
-    STORAGE_MMAP_DRAG = 1.5
-    STORAGE_SQLITE_MIRROR = 1024.0
-    STORAGE_PUSHDOWN_FACTOR = 1.25
-
-    def choose_storage(
-        self,
-        table: str,
-        n_rows: int,
-        n_cols: int,
-        memory_budget_mb: int = 0,
-        theta_rules: bool = False,
-    ) -> PassDecision:
-        """Price the ``storage="auto"`` knob for one table.
-
-        All three modes are byte-identical in every output (the storage
-        parity invariant), so — like :meth:`choose_column_backend` — this
-        is pure wall-clock pricing over one representative full-table
-        touch of ``n_rows × n_cols`` cells, rescaled by the ``storage``
-        calibration bucket.  A table whose modeled resident footprint fits
-        ``memory_budget_mb`` stays in memory (always fastest: no encode /
-        decode / SQL round-trips); one that does not *must* spill, and the
-        planner picks mmap stripes vs the SQLite pushdown mirror.
-
-        ``theta_rules`` is whether the table carries general denial
-        constraints: the mirror's pushdown surfaces — order-by for the
-        theta-join rebuild sort, indexed ``BETWEEN`` candidate windows —
-        only fire on that path.  An FD-only table never consumes them, so
-        for it the mirror is pure overhead (every repair patch also pays
-        an ``UPDATE`` round-trip) and plain stripes always win.
-        """
-        from repro.storage.modes import (
-            STORAGE_MEMORY,
-            STORAGE_MMAP,
-            STORAGE_SQLITE,
-            storage_fits_budget,
-        )
-
-        units = float(max(1, n_rows) * max(1, n_cols))
-        memory_est = self.calibration.calibrated(PASS_STORAGE, units)
-        mmap_est = self.calibration.calibrated(
-            PASS_STORAGE, self.STORAGE_SPILL_OVERHEAD + units * self.STORAGE_MMAP_DRAG
-        )
-        sqlite_factor = (
-            self.STORAGE_PUSHDOWN_FACTOR if theta_rules else self.STORAGE_MMAP_DRAG
-        )
-        sqlite_est = self.calibration.calibrated(
-            PASS_STORAGE,
-            self.STORAGE_SPILL_OVERHEAD
-            + self.STORAGE_SQLITE_MIRROR
-            + units * sqlite_factor,
-        )
-        alternatives = {
-            STORAGE_MEMORY: memory_est,
-            STORAGE_MMAP: mmap_est,
-            STORAGE_SQLITE: sqlite_est,
-        }
-        if storage_fits_budget(n_rows, n_cols, memory_budget_mb):
-            choice = STORAGE_MEMORY
-        else:
-            # Over budget: memory is not an admissible choice — the budget
-            # is a correctness constraint, not a preference.
-            choice = (
-                STORAGE_MMAP if mmap_est < sqlite_est else STORAGE_SQLITE
-            )
-        decision = PassDecision(
-            kind=DECISION_STORAGE,
-            pass_kind=PASS_STORAGE,
-            table=table,
-            choice=choice,
-            estimated_cost=alternatives[choice],
-            raw_units=units,
-            alternatives=alternatives,
-        )
-        self._append(decision)
-        return decision
 
     # -- (3) batch rule-group arbitration ------------------------------------------
 
@@ -666,11 +566,11 @@ class AdaptivePlanner:
         * disjoint scopes (union ≈ sum) → sequential wins — sharing saves
           no cleaning and still re-filters every member.
 
-        A single-member group always goes sequential (identical work, and
-        the per-query path keeps the Section 5.2.3 strategy switch and
-        cost-model observation in the loop — the ROADMAP's "the shared pass
-        is the strategy" gap); a group in which *no* member needs cleaning
-        always shares (the pass is a no-op and members route plainly).
+        A single-member group always goes sequential (identical work; like
+        every batch member it runs unobserved — batch queries never feed
+        the Section 5.2.3 cost model); a group in which *no* member needs
+        cleaning always shares (the pass is a no-op and members route
+        plainly).
         """
         overhead = self.BATCH_PASS_OVERHEAD
         weight = self.BATCH_CLEAN_WEIGHT
@@ -689,17 +589,14 @@ class AdaptivePlanner:
             choice = "shared"
         else:
             choice = "shared" if shared_est <= sequential_est else "sequential"
-        decision = PassDecision(
-            kind=DECISION_BATCH,
-            pass_kind=PASS_BATCH,
-            table=table,
-            choice=choice,
-            estimated_cost=shared_est if choice == "shared" else sequential_est,
-            raw_units=float(shared_raw if choice == "shared" else sequential_raw),
-            alternatives={"shared": shared_est, "sequential": sequential_est},
+        return self._decide(
+            DECISION_BATCH,
+            PASS_BATCH,
+            table,
+            {"shared": shared_est, "sequential": sequential_est},
+            shared_raw if choice == "shared" else sequential_raw,
+            choice,
         )
-        self._append(decision)
-        return decision
 
     # -- (4) service-tier admission control -----------------------------------------
 
@@ -734,17 +631,9 @@ class AdaptivePlanner:
             choice = "shed"
         else:
             choice = "delay"
-        decision = PassDecision(
-            kind=DECISION_ADMISSION,
-            pass_kind=PASS_ADMISSION,
-            table=table,
-            choice=choice,
-            estimated_cost=alternatives[choice],
-            raw_units=float(raw_units),
-            alternatives=alternatives,
+        return self._decide(
+            DECISION_ADMISSION, PASS_ADMISSION, table, alternatives, raw_units, choice
         )
-        self._append(decision)
-        return decision
 
     # -- (1) the Section 5.2.3 strategy switch --------------------------------------
 
@@ -769,15 +658,17 @@ class AdaptivePlanner:
         if costs is None:
             return None
         incremental, full = costs
-        switched = model.switch_exceeds(incremental, full)
-        decision = PassDecision(
-            kind=DECISION_STRATEGY,
-            pass_kind="strategy",
-            table=table,
-            choice="full_clean_now" if switched else "continue_incremental",
-            estimated_cost=full if switched else incremental,
-            raw_units=full if switched else incremental,
-            alternatives={"continue_incremental": incremental, "full_clean_now": full},
+        choice = (
+            "full_clean_now"
+            if model.switch_exceeds(incremental, full)
+            else "continue_incremental"
         )
-        self._append(decision)
-        return decision
+        alternatives = {"continue_incremental": incremental, "full_clean_now": full}
+        return self._decide(
+            DECISION_STRATEGY,
+            "strategy",
+            table,
+            alternatives,
+            alternatives[choice],
+            choice,
+        )

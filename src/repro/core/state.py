@@ -116,8 +116,8 @@ class TableState:
             "TableState.mark_fully_cleaned",
             "TableState.apply_updates",
         ),
-        "column_backend": ("TableState.pin_column_backend",),
-        "storage": ("TableState.pin_storage",),
+        "column_backend": ("TableState.resolved_column_backend",),
+        "storage": ("TableState.resolved_storage",),
         "storage_provider": ("TableState._ensure_storage", "Daisy.close"),
         "rules": ("TableState.add_rule",),
         "statistics": ("TableState.add_rule",),
@@ -142,16 +142,16 @@ class TableState:
     #: by default; "rowstore" is the per-Row semantics oracle).
     backend: str = BACKEND_COLUMNAR
     #: Kernel backend for columnar index construction / grouping / scans:
-    #: "numpy", "python", or "auto" (resolved per access on the table's
-    #: row count; a connecting session's planner may pin it).  Data-scoped
-    #: like :attr:`backend`; every choice is byte-identical in results.
+    #: "numpy", "python", or "auto" (replaced by a concrete choice on first
+    #: use, see :meth:`resolved_column_backend`).  Data-scoped like
+    #: :attr:`backend`; every choice is byte-identical in results.
     column_backend: str = COLUMN_AUTO
     #: Patch-vs-rebuild policy for incremental matrix maintenance.
     maintenance: MaintenancePolicy = field(default_factory=MaintenancePolicy)
     #: Storage mode for this table's columns: "memory" (default), "mmap",
-    #: "sqlite", or "auto" (resolved statically per access on the table's
-    #: size/budget; a connecting session's planner may pin it).  Data-
-    #: scoped like :attr:`backend`; every mode is byte-identical in results.
+    #: "sqlite", or "auto" (replaced by a concrete mode on first use, see
+    #: :meth:`resolved_storage`).  Data-scoped like :attr:`backend`; every
+    #: mode is byte-identical in results.
     storage: str = STORAGE_MEMORY
     #: Resident-column budget (MiB) for the spill modes; 0 = unlimited.
     memory_budget_mb: int = 0
@@ -190,51 +190,33 @@ class TableState:
     def resolved_column_backend(self) -> str:
         """The concrete kernel backend ("numpy" or "python") for this table.
 
-        ``auto`` resolves statically on the row count (the planner-priced
-        resolution in :meth:`pin_column_backend` may have replaced it with
-        a concrete choice at session connect); ``numpy`` degrades to
+        ``auto`` resolves on the row count at first use and the table keeps
+        that answer — an index must not change substrate because the row
+        count crosses the threshold later.  ``numpy`` degrades to
         ``python`` when NumPy is absent.
         """
-        return resolve_column_backend(
-            self.column_backend, len(self.relation.rows)
-        )
-
-    def pin_column_backend(self, choice: str) -> None:
-        """Replace an ``auto`` knob with a planner-priced concrete choice.
-
-        Called by the first :class:`repro.api.Session` to connect; a no-op
-        once the backend is concrete (data-scoped, like :attr:`backend`).
-        Matrices built before the pin keep their resolved backend — both
-        backends are byte-identical, so mixing costs nothing but speed.
-        """
         if self.column_backend == COLUMN_AUTO:
-            self.column_backend = validate_column_backend(choice)
+            self.column_backend = resolve_column_backend(
+                COLUMN_AUTO, len(self.relation.rows)
+            )
+        return resolve_column_backend(self.column_backend)
 
     def resolved_storage(self) -> str:
         """The concrete storage mode for this table.
 
-        ``auto`` resolves statically on the table's size and budget (the
-        planner-priced resolution in :meth:`pin_storage` may have replaced
-        it with a concrete choice at session connect).
-        """
-        return resolve_storage_mode(
-            self.storage,
-            len(self.relation.rows),
-            len(self.relation.schema.names),
-            self.memory_budget_mb,
-            theta_rules=bool(self.dc_rules()),
-        )
-
-    def pin_storage(self, choice: str) -> None:
-        """Replace an ``auto`` storage knob with a planner-priced choice.
-
-        Called by the first :class:`repro.api.Session` to connect; a no-op
-        once the mode is concrete (data-scoped, like :attr:`backend`).
-        All modes are byte-identical in results, so pinning moves only
-        where the bytes live.
+        ``auto`` resolves on the table's size, budget and rules at first
+        use and the table keeps that answer — a spilled table must not
+        change byte home because a rule is added later.
         """
         if self.storage == STORAGE_AUTO:
-            self.storage = validate_storage_mode(choice)
+            self.storage = resolve_storage_mode(
+                STORAGE_AUTO,
+                len(self.relation.rows),
+                len(self.relation.schema.names),
+                self.memory_budget_mb,
+                theta_rules=bool(self.dc_rules()),
+            )
+        return self.storage
 
     def column_view(self) -> ColumnView | None:
         """The relation's columnar view, or None on the row-store backend."""

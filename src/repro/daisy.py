@@ -15,79 +15,54 @@ observations, prepared queries, batching — lives on a
 
 ``Daisy(use_cost_model=False)`` gives the always-incremental variant the
 paper calls "Daisy w/o cost".
-
-The pre-session entry points (``Daisy.execute`` / ``Daisy.execute_workload``
-and the ``query_log`` / ``cost_models`` attributes) remain as deprecated
-shims that delegate to an implicit default session, so existing callers
-keep working unchanged.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.api.config import DaisyConfig
 from repro.api.reporting import QueryLogEntry, WorkloadReport  # noqa: F401 - re-export
 from repro.api.session import Session
 from repro.constraints.dc import Rule
 from repro.constraints.parser import parse_rule
-from repro.core.costmodel import CostModel
 from repro._ownership import shared_engine_state
 from repro.core.operators import CleanReport
 from repro.core.state import TableState, UpdateReport
 from repro.detection.maintenance import MaintenancePolicy
 from repro.engine.stats import WorkCounter
 from repro.errors import PlanError
-from repro.parallel.pool import POOL_THREAD
 from repro.query.ast import Query
-from repro.query.executor import QueryResult
 from repro.query.planner import PlannerCatalog
 from repro.query.sql import parse_sql
-from repro.relation.columnview import BACKEND_COLUMNAR
 from repro.relation.relation import Relation, Row
 from repro.storage import StorageManager
-from repro.storage.modes import STORAGE_MEMORY
 
 __all__ = ["Daisy", "QueryLogEntry", "WorkloadReport"]
+
+#: Config fields baked into the engine or its tables — ``backend``,
+#: ``column_backend``, ``storage`` and ``memory_budget_mb`` into every
+#: :class:`TableState` and ``matrix_maintenance`` into its
+#: :class:`MaintenancePolicy` at ``register_table``, ``diagnostics`` into the
+#: witness activated by ``Daisy.__init__`` — which a session therefore
+#: cannot override.
+ENGINE_SCOPED_FIELDS = (
+    "backend",
+    "column_backend",
+    "storage",
+    "memory_budget_mb",
+    "matrix_maintenance",
+    "diagnostics",
+)
 
 
 @shared_engine_state
 class Daisy:
     """Query-driven incremental cleaning engine.
 
-    Constructor keywords mirror :class:`repro.api.DaisyConfig` (pass
-    ``config=`` directly to share one validated config object between
-    engines/sessions).
-
-    Parameters
-    ----------
-    use_cost_model:
-        Enable the Section 5.2.3 strategy switch.  Disabled, Daisy always
-        cleans incrementally ("Daisy w/o cost" in Fig. 7).
-    expected_queries:
-        The workload-length hint the cost model projects over.
-    dc_error_threshold:
-        Algorithm 2 threshold for escalating a DC query to full cleaning.
-    backend:
-        Execution backend for the detection/cleaning hot path:
-        ``"columnar"`` (default) or ``"rowstore"`` (the per-Row semantics
-        oracle — both return identical results).
-    parallelism / num_shards / pool:
-        Sharded parallel execution knobs (see :class:`~repro.api.DaisyConfig`
-        and :mod:`repro.parallel`): sessions with ``parallelism > 1`` fan
-        theta-join cells and shard-routed FD relaxations out over a
-        session-owned worker pool; ``parallelism="auto"`` lets the session's
-        :class:`~repro.core.AdaptivePlanner` pick pool kind, worker count,
-        and shard count per pass from estimated work.  Results stay
-        byte-identical to serial either way.
-    batch_strategy:
-        Per-rule-group arbitration for :meth:`Session.execute_batch`:
-        ``"shared"`` (default), ``"sequential"``, or ``"auto"`` (the
-        planner prices "shared pass now" vs "incremental per query").
-    config:
-        A ready :class:`~repro.api.DaisyConfig`; overrides the loose
-        keywords when given.
+    ``Daisy(config)`` takes a ready :class:`repro.api.DaisyConfig`;
+    ``Daisy(**overrides)`` builds one from keyword overrides of its fields
+    (documented there).
     """
 
     #: The engine is the root of all shared state: every connected session
@@ -97,38 +72,16 @@ class Daisy:
         "states": ("Daisy.register_table",),
         "registration_version": ("Daisy.register_table", "Daisy.add_rule"),
         "table_versions": ("Daisy.register_table", "Daisy.add_rule"),
-        "_default_session": ("Daisy.default_session",),
         "_witness_active": ("Daisy.close",),
     }
 
-    def __init__(
-        self,
-        use_cost_model: bool = True,
-        expected_queries: int = 50,
-        dc_error_threshold: float = 0.2,
-        backend: str = BACKEND_COLUMNAR,
-        parallelism: "int | str" = 1,
-        num_shards: int = 0,
-        pool: str = POOL_THREAD,
-        batch_strategy: str = "shared",
-        storage: str = STORAGE_MEMORY,
-        memory_budget_mb: int = 0,
-        diagnostics: str = "none",
-        config: DaisyConfig | None = None,
-    ):
+    def __init__(self, config: DaisyConfig | None = None, **overrides: Any):
         if config is None:
-            config = DaisyConfig(
-                use_cost_model=use_cost_model,
-                expected_queries=expected_queries,
-                dc_error_threshold=dc_error_threshold,
-                backend=backend,
-                parallelism=parallelism,
-                num_shards=num_shards,
-                pool=pool,
-                batch_strategy=batch_strategy,
-                storage=storage,
-                memory_budget_mb=memory_budget_mb,
-                diagnostics=diagnostics,
+            config = DaisyConfig(**overrides)
+        elif overrides:
+            raise TypeError(
+                "pass either config= or keyword overrides, not both; use "
+                "config.replace(...) to change fields of a ready config"
             )
         self.config = config
         self._witness_active = False
@@ -144,7 +97,6 @@ class Daisy:
         #: affected table's cost model (matching the old per-add_rule
         #: refresh, without discarding other tables' observations).
         self.table_versions: dict[str, int] = {}
-        self._default_session: Session | None = None
         if config.diagnostics == "witness":
             # Activated last: the witness wraps every annotated class's
             # methods, and this engine's own construction writes must land
@@ -154,24 +106,6 @@ class Daisy:
             global_witness().activate()
             self._witness_active = True
 
-    # -- config passthroughs (kept for API stability) -----------------------------------
-
-    @property
-    def use_cost_model(self) -> bool:
-        return self.config.use_cost_model
-
-    @property
-    def expected_queries(self) -> int:
-        return self.config.expected_queries
-
-    @property
-    def dc_error_threshold(self) -> float:
-        return self.config.dc_error_threshold
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
-
     # -- sessions ------------------------------------------------------------------------
 
     def connect(self, config: DaisyConfig | None = None) -> Session:
@@ -179,44 +113,21 @@ class Daisy:
 
         ``config`` overrides the engine's default config for this session
         only (e.g. ``daisy.connect(daisy.config.replace(use_cost_model=False))``).
-        The ``backend`` field is the one data-scoped knob in the config —
-        it is baked into every table's state at registration time — so a
-        session config with a different backend is rejected rather than
-        silently ignored.
+        The :data:`ENGINE_SCOPED_FIELDS` are fixed when the engine is built
+        or a table is registered, so a session config that differs in one
+        of them is rejected rather than silently ignored.
         """
-        if config is not None and config.backend != self.config.backend:
-            raise ValueError(
-                f"session backend {config.backend!r} differs from the engine "
-                f"backend {self.config.backend!r}; the backend is fixed at "
-                "table registration — construct a separate Daisy for it"
-            )
-        if config is not None and config.column_backend != self.config.column_backend:
-            raise ValueError(
-                f"session column_backend {config.column_backend!r} differs from "
-                f"the engine column_backend {self.config.column_backend!r}; the "
-                "kernel backend is fixed at table registration — construct a "
-                "separate Daisy for it"
-            )
-        if config is not None and config.storage != self.config.storage:
-            raise ValueError(
-                f"session storage {config.storage!r} differs from the engine "
-                f"storage {self.config.storage!r}; the storage mode is fixed "
-                "at table registration — construct a separate Daisy for it"
-            )
-        if config is not None and config.memory_budget_mb != self.config.memory_budget_mb:
-            raise ValueError(
-                f"session memory_budget_mb {config.memory_budget_mb!r} differs "
-                f"from the engine memory_budget_mb "
-                f"{self.config.memory_budget_mb!r}; the residency budget is "
-                "fixed at table registration — construct a separate Daisy for it"
-            )
+        if config is not None:
+            for name in ENGINE_SCOPED_FIELDS:
+                wanted, fixed = getattr(config, name), getattr(self.config, name)
+                if wanted != fixed:
+                    raise ValueError(
+                        f"session {name} {wanted!r} differs from the engine "
+                        f"{name} {fixed!r}; {name} is fixed at engine "
+                        "construction / table registration — construct a "
+                        "separate Daisy for it"
+                    )
         return Session(self, config)
-
-    def default_session(self) -> Session:
-        """The implicit session backing the deprecated ``execute`` shims."""
-        if self._default_session is None or self._default_session.closed:
-            self._default_session = Session(self, self.config)
-        return self._default_session
 
     # -- registration ------------------------------------------------------------------
 
@@ -299,53 +210,6 @@ class Daisy:
             {row.tid: row for row in rows}
         )
 
-    # -- deprecated execution shims ------------------------------------------------------
-
-    def execute(self, query: Query | str) -> QueryResult:
-        """Deprecated: use ``daisy.connect()`` and :meth:`Session.execute`."""
-        warnings.warn(
-            "Daisy.execute is deprecated; use Daisy.connect() and "
-            "Session.execute (or Session.prepare / Session.execute_batch)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.default_session().execute(query)
-
-    def execute_workload(self, queries: Sequence[Query | str]) -> WorkloadReport:
-        """Deprecated: use :meth:`Session.execute_workload` or
-        :meth:`Session.execute_batch` on a connected session."""
-        warnings.warn(
-            "Daisy.execute_workload is deprecated; use Daisy.connect() and "
-            "Session.execute_workload (or Session.execute_batch for "
-            "rule-sharing batched execution)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.default_session().execute_workload(queries)
-
-    @property
-    def query_log(self) -> list[QueryLogEntry]:
-        """The default session's query log (deprecated shim surface)."""
-        return self.default_session().query_log
-
-    @property
-    def cost_models(self) -> dict[str, CostModel]:
-        """The default session's cost models (deprecated shim surface).
-
-        The old attribute was populated at ``add_rule`` time; the session
-        builds lazily, so the shim forces a build for every ruled table to
-        keep ``daisy.cost_models["t"]`` working right after registration.
-        """
-        session = self.default_session()
-        for name, state in self.states.items():
-            if state.rules:
-                session._cost_model(name)
-        return {
-            table: model
-            for table, model in session.cost_models.items()
-            if model is not None
-        }
-
     # -- direct cleaning ----------------------------------------------------------------
 
     def clean_table(self, table: str, rules: Iterable[Rule] | None = None) -> CleanReport:
@@ -365,8 +229,6 @@ class Daisy:
         open sessions only *release* handles (they reopen lazily), the
         engine close is what deletes the spill directories.
         """
-        if self._default_session is not None and not self._default_session.closed:
-            self._default_session.close()
         for state in self.states.values():
             provider = state.storage_provider
             if provider is not None:

@@ -53,8 +53,8 @@ COLUMN_AUTO = "auto"
 COLUMN_BACKENDS = (COLUMN_NUMPY, COLUMN_PYTHON, COLUMN_AUTO)
 
 #: Below this row count the fixed ndarray-construction overhead outweighs
-#: the per-cell savings; ``auto`` resolution (static and planner-priced)
-#: keeps tiny tables on the pure-Python path.
+#: the per-cell savings; ``auto`` resolution keeps tiny tables on the
+#: pure-Python path.
 AUTO_MIN_ROWS = 64
 
 #: Largest integer magnitude exactly representable as a float64.  Columns
@@ -84,8 +84,8 @@ def resolve_column_backend(name: str, n_rows: int = 0) -> str:
 
     ``numpy`` silently degrades to ``python`` when NumPy is absent (the
     engine must import and run dependency-free); ``auto`` picks numpy for
-    tables past :data:`AUTO_MIN_ROWS` — the same tipping point the
-    adaptive planner's priced decision starts from before calibration.
+    tables from :data:`AUTO_MIN_ROWS` rows up — the only resolver of
+    ``column_backend="auto"``.
     """
     validate_column_backend(name)
     if not HAVE_NUMPY:

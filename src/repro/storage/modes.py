@@ -15,10 +15,11 @@ STORAGE_MMAP = "mmap"
 #: Stripe spill *plus* a SQLite mirror serving filter / order-by /
 #: join-window pushdown for exactly-mirrorable columns.
 STORAGE_SQLITE = "sqlite"
-#: Let the adaptive planner price and pin one of the concrete modes.
+#: Resolve to one of the concrete modes, once per table
+#: (:func:`resolve_storage_mode`).
 STORAGE_AUTO = "auto"
 
-#: The concrete (pinnable) modes.
+#: The concrete modes.
 STORAGE_MODES = (STORAGE_MEMORY, STORAGE_MMAP, STORAGE_SQLITE)
 
 
@@ -53,16 +54,13 @@ def resolve_storage_mode(
 ) -> str:
     """Statically resolve ``auto`` to a concrete mode.
 
-    The uncalibrated twin of the planner's ``choose_storage`` pricing (and
-    the fallback when no session has connected to pin the knob): a table
-    that fits the budget stays in memory; one that does not spills.  The
-    SQLite mirror only goes on for tables carrying general denial
-    constraints (``theta_rules``) — its pushdown surfaces (order-by for
-    the theta-join rebuild sort, indexed BETWEEN candidate windows) fire
-    nowhere else, and on an FD-only table the mirror would charge an
-    UPDATE round-trip per repair patch for nothing.  The adaptive pin
-    prices the same alternatives with calibration; every mode is
-    byte-identical in results.
+    The only resolver of ``storage="auto"``: a table that fits the budget
+    stays in memory; one that does not spills.  The SQLite mirror only goes
+    on for tables carrying general denial constraints (``theta_rules``) —
+    its pushdown surfaces (order-by for the theta-join rebuild sort, indexed
+    BETWEEN candidate windows) fire nowhere else, and on an FD-only table
+    the mirror would charge an UPDATE round-trip per repair patch for
+    nothing.  Every mode is byte-identical in results.
     """
     validate_storage_mode(mode)
     if mode != STORAGE_AUTO:

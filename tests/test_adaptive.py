@@ -457,6 +457,9 @@ class TestStrategySwitchDecisions:
             report = session.execute_workload(_hospital_queries())
         decisions = report.decisions_of_kind(DECISION_STRATEGY)
         assert decisions
+        # column_backend="auto" (the default) is a static rule: the session
+        # prices and logs nothing for it.
+        assert {d.kind for d in session.planner.decisions} == {DECISION_STRATEGY}
         for decision in decisions:
             assert set(decision.alternatives) == {
                 "continue_incremental",

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from repro import BatchResult, Daisy, DaisyConfig, PreparedQuery, Session
+from repro.daisy import ENGINE_SCOPED_FIELDS
 from repro.datasets import airquality, hospital
 from repro.errors import QueryError, SessionError
 from repro.query.ast import ColumnRef, Condition, Query
@@ -44,7 +45,7 @@ def relations_identical(a: Relation, b: Relation) -> bool:
 class TestDaisyConfig:
     def test_defaults_and_replace(self):
         config = DaisyConfig()
-        assert config.use_cost_model and config.batch_rule_sharing
+        assert config.use_cost_model and len(dataclasses.fields(config)) == 14
         off = config.replace(use_cost_model=False)
         assert not off.use_cost_model and config.use_cost_model
 
@@ -87,10 +88,23 @@ class TestSession:
         assert not session.config.use_cost_model
         assert d.config.use_cost_model
 
-    def test_backend_override_rejected(self):
-        d = make_engine()  # columnar engine
-        with pytest.raises(ValueError, match="backend"):
-            d.connect(d.config.replace(backend="rowstore"))
+    @pytest.mark.parametrize("field", ENGINE_SCOPED_FIELDS)
+    def test_engine_scoped_override_rejected(self, field):
+        other = {
+            "backend": "rowstore", "column_backend": "python", "storage": "mmap",
+            "memory_budget_mb": 7, "matrix_maintenance": "rebuild",
+            "diagnostics": "witness",
+        }[field]
+        d = make_engine()  # every field at its default
+        with pytest.raises(ValueError, match=field):
+            d.connect(d.config.replace(**{field: other}))
+
+    def test_constructor_takes_config_or_overrides(self):
+        assert Daisy(column_backend="python").config.column_backend == "python"
+        with pytest.raises(TypeError):
+            Daisy(no_such_knob=1)
+        with pytest.raises(TypeError):
+            Daisy(DaisyConfig(), use_cost_model=False)
 
     def test_ast_query_logs_real_sql(self):
         d = make_engine()
@@ -272,16 +286,18 @@ class TestExecuteBatch:
         assert group.table == "airquality"
         assert group.rule_keys == ("phi_county",)
 
-    def test_batch_without_sharing_matches_sequential(self):
+    def test_sequential_batch_strategy_matches_sequential(self):
         d_seq, queries = _airquality_setup()
         sequential = [d_seq.connect().execute(q) for q in queries]
 
         d_off, queries = _airquality_setup()
-        session = d_off.connect(d_off.config.replace(batch_rule_sharing=False))
+        session = d_off.connect(d_off.config.replace(batch_strategy="sequential"))
         batch = session.execute_batch(queries)
         assert batch.groups == []
         for batched, plain in zip(batch, sequential):
             assert relations_identical(batched.relation, plain.relation)
+        assert relations_identical(d_off.table("airquality"), d_seq.table("airquality"))
+        assert d_off.total_work() == d_seq.total_work()
 
     def test_batch_accepts_prepared_and_ast_queries(self):
         d = make_engine()
@@ -375,14 +391,6 @@ class TestCostModelState:
         # A new rule on cities itself still triggers the rebuild.
         d.add_rule("cities", "city -> zip", name="phi2")
         assert session._cost_model("cities") is not model
-
-    def test_cost_models_shim_populated_after_add_rule(self):
-        d = Daisy(config=DaisyConfig(use_cost_model=False))
-        d.register_table("cities", cities_rel())
-        d.add_rule("cities", "zip -> city", name="phi")
-        # Old contract: inspectable right after registration, no query run.
-        model = d.cost_models["cities"]
-        assert model.dataset_size == 5
 
 
 class TestPlanCache:
@@ -644,32 +652,3 @@ class TestSqlLiteralRoundTrip:
             prepared.execute("O'Fallon")
             sql = session.query_log[-1].sql
         assert parse_sql(sql).conditions[0].value == "O'Fallon"
-
-
-class TestDeprecationShims:
-    def test_execute_warns_and_works(self):
-        d = make_engine()
-        with pytest.warns(DeprecationWarning, match="Daisy.execute is deprecated"):
-            result = d.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
-        assert len(result) == 3
-        assert len(d.query_log) == 1
-
-    def test_execute_workload_warns_and_works(self):
-        d = make_engine()
-        queries = [
-            "SELECT zip FROM cities WHERE city = 'Los Angeles'",
-            "SELECT city FROM cities WHERE zip = 9001",
-        ]
-        with pytest.warns(DeprecationWarning, match="execute_workload is deprecated"):
-            report = d.execute_workload(queries)
-        assert len(report.entries) == 2
-        assert report.total_work_units > 0
-
-    def test_shims_match_session_results(self):
-        sql = "SELECT zip FROM cities WHERE city = 'Los Angeles'"
-        d_shim, d_session = make_engine(), make_engine()
-        with pytest.warns(DeprecationWarning):
-            shim_result = d_shim.execute(sql)
-        session_result = d_session.connect().execute(sql)
-        assert relations_identical(shim_result.relation, session_result.relation)
-        assert relations_identical(d_shim.table("cities"), d_session.table("cities"))

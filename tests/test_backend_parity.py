@@ -34,10 +34,10 @@ def run_pair(make_inputs, queries, table):
         for rule in rules:
             daisy.add_rule(table, rule)
         engines[backend] = daisy
-    outputs = {b: [] for b in BACKENDS}
-    for sql in queries:
-        for backend, daisy in engines.items():
-            outputs[backend].append(daisy.execute(sql))
+    outputs = {}
+    for backend, daisy in engines.items():
+        with daisy.connect() as session:
+            outputs[backend] = [session.execute(sql) for sql in queries]
     return engines, outputs
 
 
@@ -208,7 +208,8 @@ class TestCostModelParity:
             queries = workloads.range_queries(
                 "lineorder", "suppkey", 20, 12, projection="orderkey, suppkey"
             )
-            report = daisy.execute_workload(queries)
+            with daisy.connect() as session:
+                report = session.execute_workload(queries)
             results[backend] = (
                 rows_repr(daisy.table("lineorder")),
                 report.switch_query_index,

@@ -276,15 +276,17 @@ class TestDaisyIntegration:
     def test_fix_patches_view_instead_of_rebuilding(self):
         daisy = self.make_daisy()
         before = daisy.table("cities").column_view()
-        daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+        with daisy.connect() as session:
+            session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
         after = daisy.table("cities").column_view()
         assert after.version > before.version  # patched lineage, not a rebuild
         assert daisy.probabilistic_cells("cities") > 0
 
     def test_view_matches_relation_after_fixes(self):
         daisy = self.make_daisy()
-        daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
-        daisy.execute("SELECT city FROM cities WHERE zip = 10001")
+        with daisy.connect() as session:
+            session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+            session.execute("SELECT city FROM cities WHERE zip = 10001")
         relation = daisy.table("cities")
         view = relation.column_view()
         fresh = ColumnView.from_relation(relation)
@@ -297,10 +299,11 @@ class TestDaisyIntegration:
 
     def test_queries_after_fixes_see_probabilistic_matches(self):
         daisy = self.make_daisy()
-        daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
-        # Tuple 2's city was repaired into a PValue containing 'Los Angeles';
-        # a stale filter cache would miss it.
-        result = daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+        with daisy.connect() as session:
+            session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+            # Tuple 2's city was repaired into a PValue containing 'Los Angeles';
+            # a stale filter cache would miss it.
+            result = session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
         tids = daisy.table("cities").column_view().filter_tids(
             "city", "=", "Los Angeles"
         )

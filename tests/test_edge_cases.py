@@ -36,8 +36,8 @@ class TestEmptyRelations:
         d = Daisy()
         d.register_table("t", self.empty())
         d.add_rule("t", "a -> b")
-        result = d.execute("SELECT a FROM t WHERE a = 1")
-        assert len(result) == 0
+        with d.connect() as session:
+            assert len(session.execute("SELECT a FROM t WHERE a = 1")) == 0
 
     def test_group_by_on_empty(self):
         out = self.empty().group_by(["a"], [("count", "*", "n")])
@@ -68,8 +68,9 @@ class TestNullHandling:
         )
         d = Daisy()
         d.register_table("t", rel)
-        assert len(d.execute("SELECT a FROM t WHERE a = 1")) == 1
-        assert len(d.execute("SELECT a FROM t WHERE a < 5")) == 1
+        with d.connect() as session:
+            assert len(session.execute("SELECT a FROM t WHERE a = 1")) == 1
+            assert len(session.execute("SELECT a FROM t WHERE a < 5")) == 1
 
     def test_null_groups_in_fd_detection(self):
         rel = Relation.from_rows(
@@ -96,7 +97,7 @@ class TestNullHandling:
 
 class TestAdversarialQueries:
     @pytest.fixture
-    def daisy(self):
+    def session(self):
         d = Daisy()
         d.register_table(
             "t",
@@ -106,25 +107,26 @@ class TestAdversarialQueries:
                 name="t",
             ),
         )
-        return d
+        with d.connect() as session:
+            yield session
 
-    def test_unknown_table(self, daisy):
+    def test_unknown_table(self, session):
         with pytest.raises(PlanError):
-            daisy.execute("SELECT a FROM missing")
+            session.execute("SELECT a FROM missing")
 
-    def test_unknown_column(self, daisy):
+    def test_unknown_column(self, session):
         with pytest.raises(PlanError):
-            daisy.execute("SELECT zzz FROM t")
+            session.execute("SELECT zzz FROM t")
 
-    def test_empty_result_range(self, daisy):
-        assert len(daisy.execute("SELECT a FROM t WHERE a > 100")) == 0
+    def test_empty_result_range(self, session):
+        assert len(session.execute("SELECT a FROM t WHERE a > 100")) == 0
 
-    def test_contradictory_conditions(self, daisy):
-        assert len(daisy.execute("SELECT a FROM t WHERE a > 5 AND a < 3")) == 0
+    def test_contradictory_conditions(self, session):
+        assert len(session.execute("SELECT a FROM t WHERE a > 5 AND a < 3")) == 0
 
-    def test_string_comparison_against_int_column(self, daisy):
+    def test_string_comparison_against_int_column(self, session):
         # Type-mismatched comparison is NULL-like: no match, no crash.
-        assert len(daisy.execute("SELECT a FROM t WHERE a = 'abc'")) == 0
+        assert len(session.execute("SELECT a FROM t WHERE a = 'abc'")) == 0
 
     def test_or_join_rejected(self):
         d = Daisy()
@@ -133,10 +135,8 @@ class TestAdversarialQueries:
                 name,
                 Relation.from_rows([("k", ColumnType.INT)], [(1,)], name=name),
             )
-        with pytest.raises(QueryError):
-            d.execute(
-                "SELECT x.k FROM x, y WHERE x.k = y.k OR x.k = 1"
-            )
+        with d.connect() as session, pytest.raises(QueryError):
+            session.execute("SELECT x.k FROM x, y WHERE x.k = y.k OR x.k = 1")
 
 
 class TestAllIdenticalValues:

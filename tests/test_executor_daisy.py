@@ -22,21 +22,22 @@ def cities_rel():
 
 
 @pytest.fixture
-def daisy():
+def session():
     d = Daisy()
     d.register_table("cities", cities_rel())
     d.add_rule("cities", "zip -> city", name="phi")
-    return d
+    with d.connect() as session:
+        yield session
 
 
 class TestSpQueries:
-    def test_rhs_filter_cleans_and_returns(self, daisy):
-        result = daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+    def test_rhs_filter_cleans_and_returns(self, session):
+        result = session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
         assert len(result) == 3  # rows 0, 2 + repaired row 1
-        assert daisy.probabilistic_cells("cities") > 0
+        assert session.probabilistic_cells("cities") > 0
 
-    def test_lhs_filter_returns_candidate_matches(self, daisy):
-        result = daisy.execute("SELECT city FROM cities WHERE zip = 9001")
+    def test_lhs_filter_returns_candidate_matches(self, session):
+        result = session.execute("SELECT city FROM cities WHERE zip = 9001")
         # Table 3: four tuples qualify after cleaning.
         assert len(result) == 4
 
@@ -48,44 +49,45 @@ class TestSpQueries:
         )
         d.register_table("t", rel)
         d.add_rule("t", "zip -> city")
-        result = d.execute("SELECT a FROM t WHERE a = 1")
+        with d.connect() as session:
+            result = session.execute("SELECT a FROM t WHERE a = 1")
         assert d.probabilistic_cells("t") == 0
         assert len(result) == 1
 
-    def test_second_query_cheaper_than_first(self, daisy):
-        daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
-        work_first = daisy.query_log[-1].work_units
-        daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
-        work_second = daisy.query_log[-1].work_units
+    def test_second_query_cheaper_than_first(self, session):
+        session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+        work_first = session.query_log[-1].work_units
+        session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+        work_second = session.query_log[-1].work_units
         assert work_second < work_first
 
-    def test_range_query(self, daisy):
-        result = daisy.execute("SELECT city FROM cities WHERE zip >= 9001 AND zip < 10002")
+    def test_range_query(self, session):
+        result = session.execute("SELECT city FROM cities WHERE zip >= 9001 AND zip < 10002")
         assert len(result) == 5
 
-    def test_or_connector(self, daisy):
-        result = daisy.execute(
+    def test_or_connector(self, session):
+        result = session.execute(
             "SELECT city FROM cities WHERE zip = 9001 OR zip = 10001"
         )
         assert len(result) == 5
 
-    def test_select_star(self, daisy):
-        result = daisy.execute("SELECT * FROM cities WHERE zip = 10001")
+    def test_select_star(self, session):
+        result = session.execute("SELECT * FROM cities WHERE zip = 10001")
         assert result.relation.schema.names == ("zip", "city")
 
 
 class TestGroupByQueries:
-    def test_count_group_by(self, daisy):
-        result = daisy.execute(
+    def test_count_group_by(self, session):
+        result = session.execute(
             "SELECT city, COUNT(*) AS n FROM cities GROUP BY city"
         )
         total = sum(row.values[1] for row in result.relation.rows)
         assert total == 5
 
-    def test_cleaning_happens_before_aggregation(self, daisy):
-        daisy.execute("SELECT city, COUNT(*) AS n FROM cities GROUP BY city")
+    def test_cleaning_happens_before_aggregation(self, session):
+        session.execute("SELECT city, COUNT(*) AS n FROM cities GROUP BY city")
         # Cleaning was pushed below the group-by: cells got repaired.
-        assert daisy.probabilistic_cells("cities") > 0
+        assert session.probabilistic_cells("cities") > 0
 
     def test_avg(self):
         d = Daisy()
@@ -94,7 +96,8 @@ class TestGroupByQueries:
             [(1, 10.0), (1, 20.0), (2, 30.0)],
         )
         d.register_table("t", rel)
-        result = d.execute("SELECT g, AVG(x) AS m FROM t GROUP BY g")
+        with d.connect() as session:
+            result = session.execute("SELECT g, AVG(x) AS m FROM t GROUP BY g")
         by_g = {row.values[0]: row.values[1] for row in result.relation.rows}
         assert by_g == {1: 15.0, 2: 30.0}
 
@@ -123,11 +126,11 @@ class TestJoinQueries:
         return d
 
     def test_example6_end_to_end(self):
-        d = self.make_daisy()
-        result = d.execute(
-            "SELECT cities.zip, employee.ename FROM cities, employee "
-            "WHERE cities.zip = employee.zip AND city = 'Los Angeles'"
-        )
+        with self.make_daisy().connect() as session:
+            result = session.execute(
+                "SELECT cities.zip, employee.ename FROM cities, employee "
+                "WHERE cities.zip = employee.zip AND city = 'Los Angeles'"
+            )
         names = sorted(row.values[1] for row in result.relation.rows)
         assert names == ["Jon", "Mary", "Peter", "Peter"]
 
@@ -139,26 +142,27 @@ class TestJoinQueries:
         d.register_table(
             "b", Relation.from_rows([("k", ColumnType.INT)], [(2,), (3,)], name="b")
         )
-        result = d.execute("SELECT a.k FROM a, b WHERE a.k = b.k")
+        with d.connect() as session:
+            result = session.execute("SELECT a.k FROM a, b WHERE a.k = b.k")
         assert len(result) == 1
 
     def test_join_with_groupby(self):
-        d = self.make_daisy()
-        result = d.execute(
-            "SELECT employee.ename, COUNT(*) AS n FROM cities, employee "
-            "WHERE cities.zip = employee.zip GROUP BY employee.ename"
-        )
+        with self.make_daisy().connect() as session:
+            result = session.execute(
+                "SELECT employee.ename, COUNT(*) AS n FROM cities, employee "
+                "WHERE cities.zip = employee.zip GROUP BY employee.ename"
+            )
         assert len(result) >= 1
 
 
 class TestGradualCleaning:
-    def test_dataset_becomes_probabilistic_incrementally(self, daisy):
-        assert daisy.probabilistic_cells("cities") == 0
-        daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
-        first = daisy.probabilistic_cells("cities")
+    def test_dataset_becomes_probabilistic_incrementally(self, session):
+        assert session.probabilistic_cells("cities") == 0
+        session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+        first = session.probabilistic_cells("cities")
         assert first > 0
-        daisy.execute("SELECT zip FROM cities WHERE city = 'New York'")
-        assert daisy.probabilistic_cells("cities") >= first
+        session.execute("SELECT zip FROM cities WHERE city = 'New York'")
+        assert session.probabilistic_cells("cities") >= first
 
     def test_full_coverage_workload_matches_offline(self):
         """The paper's FD correctness guarantee: after a workload covering
@@ -168,7 +172,8 @@ class TestGradualCleaning:
         d = Daisy(use_cost_model=False)
         d.register_table("cities", cities_rel())
         d.add_rule("cities", "zip -> city", name="phi")
-        d.execute("SELECT city FROM cities WHERE zip >= 0 AND zip < 99999")
+        with d.connect() as session:
+            session.execute("SELECT city FROM cities WHERE zip >= 0 AND zip < 99999")
 
         cleaner = OfflineCleaner()
         offline_rel, _ = cleaner.clean(cities_rel(), d.states["cities"].rules)
@@ -181,12 +186,12 @@ class TestGradualCleaning:
             o_vals = set(o_cell.concrete_values()) if isinstance(o_cell, PValue) else {o_cell}
             assert d_vals == o_vals, f"tid {tid}: {d_vals} != {o_vals}"
 
-    def test_clean_table_direct(self, daisy):
-        report = daisy.clean_table("cities")
+    def test_clean_table_direct(self, session):
+        report = session.clean_table("cities")
         assert report.errors_fixed > 0
-        result = daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+        result = session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
         # No further cleaning needed.
-        assert daisy.query_log[-1].errors_fixed == 0
+        assert session.query_log[-1].errors_fixed == 0
 
 
 class TestCostModelSwitch:
@@ -202,7 +207,8 @@ class TestCostModelSwitch:
         queries = workloads.range_queries(
             "lineorder", "suppkey", 15, 30, projection="orderkey, suppkey"
         )
-        report = d.execute_workload(queries)
+        with d.connect() as session:
+            report = session.execute_workload(queries)
         assert report.switch_query_index is not None
         # After the switch every rule is fully cleaned.
         state = d.states["lineorder"]
@@ -220,11 +226,12 @@ class TestCostModelSwitch:
         queries = workloads.range_queries(
             "lineorder", "suppkey", 15, 10, projection="orderkey, suppkey"
         )
-        report = d.execute_workload(queries)
+        with d.connect() as session:
+            report = session.execute_workload(queries)
         assert report.switch_query_index is None
 
 
 class TestExplain:
-    def test_explain_shows_cleaning(self, daisy):
-        text = daisy.explain("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+    def test_explain_shows_cleaning(self, session):
+        text = session.explain("SELECT zip FROM cities WHERE city = 'Los Angeles'")
         assert "CleanSigma" in text

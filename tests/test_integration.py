@@ -41,7 +41,8 @@ class TestPersistenceRoundtrip:
         reloaded = from_csv_string(to_csv_string(cleaned), name="cities")
         d = Daisy()
         d.register_table("cities", reloaded)
-        result = d.execute("SELECT zip FROM cities WHERE city = 'LA'")
+        with d.connect() as session:
+            result = session.execute("SELECT zip FROM cities WHERE city = 'LA'")
         # Possible-worlds filter sees candidate LAs of repaired rows.
         assert len(result) >= 1
 
@@ -94,7 +95,8 @@ class TestDcEndToEnd:
         d = Daisy(use_cost_model=False, dc_error_threshold=0.95)
         d.register_table("orders", rel)
         d.add_rule("orders", dc)
-        result = d.execute("SELECT k FROM orders WHERE price >= 100 AND price <= 400")
+        with d.connect() as session:
+            result = session.execute("SELECT k FROM orders WHERE price >= 100 AND price <= 400")
         # (1, 0.30) conflicts with tuples 2 and 3: it got range candidates.
         assert d.probabilistic_cells("orders") > 0
         assert len(result) == 4
@@ -112,7 +114,8 @@ class TestDcEndToEnd:
             name="dc",
         )
         assert len(rules) == 1
-        d.execute("SELECT salary, tax FROM emp WHERE salary > 0")
+        with d.connect() as session:
+            session.execute("SELECT salary, tax FROM emp WHERE salary > 0")
         assert d.probabilistic_cells("emp") > 0
 
 
@@ -131,7 +134,8 @@ class TestMultiTableSession:
         d.register_table("b", b)
         d.add_rule("a", "k -> v", name="fa")
         d.add_rule("b", "k -> v", name="fb")
-        d.execute("SELECT v FROM a WHERE k = 1")
+        with d.connect() as session:
+            session.execute("SELECT v FROM a WHERE k = 1")
         assert d.probabilistic_cells("a") > 0
         assert d.probabilistic_cells("b") == 0
 
@@ -140,10 +144,11 @@ class TestMultiTableSession:
         d.register_table(
             "t", Relation.from_rows([("x", ColumnType.INT)], [(1,)], name="t")
         )
-        d.execute("SELECT x FROM t")
-        d.execute("SELECT x FROM t WHERE x = 1")
-        assert len(d.query_log) == 2
-        assert d.query_log[0].result_size == 1
+        with d.connect() as session:
+            session.execute("SELECT x FROM t")
+            session.execute("SELECT x FROM t WHERE x = 1")
+            assert len(session.query_log) == 2
+            assert session.query_log[0].result_size == 1
 
 
 class TestMixedRuleKinds:
@@ -161,7 +166,8 @@ class TestMixedRuleKinds:
             "t", "not(t1.price < t2.price & t1.discount > t2.discount)",
             name="dc",
         )
-        d.execute("SELECT g, v, price, discount FROM t WHERE price > 0")
+        with d.connect() as session:
+            session.execute("SELECT g, v, price, discount FROM t WHERE price > 0")
         # Both rule kinds fired: v (FD) and price/discount (DC) cells fixed.
         rel_after = d.table("t")
         fd_fixed = isinstance(rel_after.row_by_tid(0).values[1], PValue)

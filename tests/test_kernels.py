@@ -1,4 +1,4 @@
-"""NumPy kernel backend: unit parity, knob plumbing, and planner pricing.
+"""NumPy kernel backend: unit parity and knob plumbing.
 
 Every kernel in :mod:`repro.relation.kernels` must be *byte-identical* to
 the pure-Python oracle it replaces — same values, same object types, same
@@ -6,8 +6,8 @@ orderings, same work-unit charges — or must decline (return ``None``) so
 the caller stays on the oracle.  The tests here pin both halves of that
 contract: the exactness gates (dtype inference, 2^53 bounds, NaN and bool
 rejection) and the parity of the vectorized results, plus the data-scoped
-``column_backend`` knob (config validation, session rejection, planner
-pricing, TableState pinning) and a seeded end-to-end forced-backend run.
+``column_backend`` knob (config validation, session rejection, once-per-
+table ``auto`` resolution) and a seeded end-to-end forced-backend run.
 
 Kernel-level tests skip cleanly when NumPy is absent (the no-numpy CI job
 runs this module too and must stay green on the fallback assertions).
@@ -22,11 +22,6 @@ import pytest
 from repro import Daisy
 from repro.api.config import DaisyConfig
 from repro.constraints import FunctionalDependency
-from repro.core.costmodel import (
-    DECISION_COLUMN_BACKEND,
-    PASS_KERNEL,
-    AdaptivePlanner,
-)
 from repro.core.state import TableState
 from repro.datasets import ssb, workloads
 from repro.detection import matrix_fingerprint
@@ -110,23 +105,19 @@ class TestBackendKnob:
         assert resolve_column_backend(COLUMN_NUMPY, 10**6) == COLUMN_PYTHON
         assert resolve_column_backend(COLUMN_AUTO, 10**6) == COLUMN_PYTHON
 
-    def test_session_with_other_column_backend_rejected(self):
-        daisy = Daisy(config=DaisyConfig(column_backend=COLUMN_PYTHON))
-        with pytest.raises(ValueError, match="column_backend"):
-            daisy.connect(daisy.config.replace(column_backend=COLUMN_AUTO))
-        with daisy.connect(daisy.config.replace(expected_queries=9)):
-            pass  # same column_backend: fine
+    def test_auto_resolves_once_per_table(self):
+        def rel(n):
+            return Relation.from_rows(
+                [("k", ColumnType.INT)], [(i,) for i in range(n)], name="t"
+            )
 
-    def test_tablestate_pins_only_auto(self):
-        rel = Relation.from_rows(
-            [("k", ColumnType.INT)], [(i,) for i in range(5)], name="t"
-        )
-        state = TableState(relation=rel, column_backend=COLUMN_AUTO)
-        state.pin_column_backend(COLUMN_PYTHON)
-        assert state.column_backend == COLUMN_PYTHON
-        state.pin_column_backend(COLUMN_NUMPY)  # no-op: already concrete
-        assert state.column_backend == COLUMN_PYTHON
+        state = TableState(relation=rel(AUTO_MIN_ROWS - 1), column_backend=COLUMN_AUTO)
         assert state.resolved_column_backend() == COLUMN_PYTHON
+        # Crossing the 64-row line later must not move the table's indexes
+        # onto another substrate: the first resolution is kept.
+        state.replace_relation(rel(AUTO_MIN_ROWS * 2))
+        assert state.column_backend == COLUMN_PYTHON
+        assert state.column_view().column_backend == COLUMN_PYTHON
 
     def test_view_is_stamped(self):
         rel = Relation.from_rows(
@@ -138,51 +129,6 @@ class TestBackendKnob:
         view = state.column_view()
         expected = COLUMN_NUMPY if HAVE_NUMPY else COLUMN_PYTHON
         assert view.column_backend == expected
-
-
-class TestPlannerPricing:
-    def _planner(self):
-        return AdaptivePlanner(max_workers=4)
-
-    def test_small_table_stays_python(self):
-        planner = self._planner()
-        decision = planner.choose_column_backend("t", 8)
-        assert decision.kind == DECISION_COLUMN_BACKEND
-        assert decision.pass_kind == PASS_KERNEL
-        assert decision.choice == COLUMN_PYTHON
-
-    @needs_numpy
-    def test_large_table_goes_numpy(self):
-        planner = self._planner()
-        decision = planner.choose_column_backend("t", 100_000)
-        assert decision.choice == COLUMN_NUMPY
-
-    @needs_numpy
-    def test_uncalibrated_tipping_point_matches_static_threshold(self):
-        planner = self._planner()
-        below = planner.choose_column_backend("t", AUTO_MIN_ROWS - 8)
-        at = planner.choose_column_backend("t", AUTO_MIN_ROWS)
-        assert below.choice == COLUMN_PYTHON
-        assert at.choice == COLUMN_NUMPY
-
-    def test_without_numpy_always_python(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-        planner = self._planner()
-        assert planner.choose_column_backend("t", 10**6).choice == COLUMN_PYTHON
-
-    @needs_numpy
-    def test_session_pins_auto_tables(self):
-        rel = Relation.from_rows(
-            [("k", ColumnType.INT), ("v", ColumnType.INT)],
-            [(i % 7, i % 3) for i in range(200)],
-            name="t",
-        )
-        daisy = Daisy()
-        state = daisy.register_table("t", rel)
-        assert state.column_backend == COLUMN_AUTO
-        with daisy.connect():
-            pass
-        assert state.column_backend == COLUMN_NUMPY
 
 
 # -- dtype inference gates ------------------------------------------------------------

@@ -29,9 +29,10 @@ class TestExample1Employees:
         daisy = Daisy()
         daisy.register_table("employees", employees_relation)
         daisy.add_rule("employees", "zip -> city")
-        result = daisy.execute(
-            "SELECT name FROM employees WHERE city = 'Los Angeles'"
-        )
+        with daisy.connect() as session:
+            result = session.execute(
+                "SELECT name FROM employees WHERE city = 'Los Angeles'"
+            )
         names = {row.values[0] for row in result.relation.rows}
         # Jim's city may be Los Angeles after cleaning: he joins the result.
         assert names == {"Jon", "Jim"}
@@ -41,7 +42,8 @@ class TestExample1Employees:
         daisy = Daisy(use_cost_model=False)
         daisy.register_table("employees", employees_relation)
         daisy.add_rule("employees", "zip -> city")
-        daisy.execute("SELECT name FROM employees WHERE city = 'Los Angeles'")
+        with daisy.connect() as session:
+            session.execute("SELECT name FROM employees WHERE city = 'Los Angeles'")
         rel = daisy.table("employees")
         assert not isinstance(rel.row_by_tid(2).values[2], PValue)
         assert not isinstance(rel.row_by_tid(3).values[2], PValue)
@@ -57,7 +59,8 @@ class TestTable2bProbabilities:
         daisy = Daisy(use_cost_model=False)
         daisy.register_table("cities", cities_relation)
         daisy.add_rule("cities", "zip -> city", name="phi")
-        daisy.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
+        with daisy.connect() as session:
+            session.execute("SELECT zip FROM cities WHERE city = 'Los Angeles'")
         return daisy.table("cities")
 
     def test_tuple0_city_candidates(self, cleaned):
@@ -89,14 +92,16 @@ class TestTable3Result:
         daisy = Daisy(use_cost_model=False)
         daisy.register_table("cities", cities_relation)
         daisy.add_rule("cities", "zip -> city", name="phi")
-        result = daisy.execute("SELECT city FROM cities WHERE zip = 9001")
+        with daisy.connect() as session:
+            result = session.execute("SELECT city FROM cities WHERE zip = 9001")
         assert {r.tid for r in result.relation.rows} == {0, 1, 2, 3}
 
     def test_tuple4_repaired_but_not_in_result(self, cities_relation):
         daisy = Daisy(use_cost_model=False)
         daisy.register_table("cities", cities_relation)
         daisy.add_rule("cities", "zip -> city", name="phi")
-        daisy.execute("SELECT city FROM cities WHERE zip = 9001")
+        with daisy.connect() as session:
+            session.execute("SELECT city FROM cities WHERE zip = 9001")
         rel = daisy.table("cities")
         # (10001, New York) was repaired by the closure (Table 3 shows its
         # city as {SF 50%, NY 50%}) yet its zip stays 10001 — excluded.
@@ -212,8 +217,9 @@ class TestIncrementalSeenTuples:
         daisy = Daisy(use_cost_model=False)
         daisy.register_table("t", Relation(rel.schema, list(rel.rows), name="t"))
         daisy.add_rule("t", fd)
-        daisy.execute("SELECT b FROM t WHERE a < 5")
-        daisy.execute("SELECT b FROM t WHERE a >= 5")
+        with daisy.connect() as session:
+            session.execute("SELECT b FROM t WHERE a < 5")
+            session.execute("SELECT b FROM t WHERE a >= 5")
         incremental = daisy.table("t")
 
         offline_rel, _ = OfflineCleaner().clean(

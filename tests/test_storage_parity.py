@@ -267,7 +267,7 @@ def _wide_relation(n_rows: int = 6000) -> Relation:
 
 class TestAutoModeParity:
     def test_auto_equals_every_forced_mode(self):
-        """storage="auto" pins a concrete mode; results match the oracle."""
+        """storage="auto" resolves to a concrete mode; results match the oracle."""
         oracle = _run_workload(
             _hospital_make("memory"), "hospital", _hospital_queries()
         )
@@ -276,28 +276,46 @@ class TestAutoModeParity:
         )
         assert got == oracle
 
-    def test_auto_pins_memory_when_budget_unlimited(self):
+    def test_auto_stays_in_memory_when_budget_unlimited(self):
         daisy = Daisy(use_cost_model=False, storage="auto", memory_budget_mb=0)
-        try:
-            daisy.register_table("wide", _wide_relation(500))
-            with daisy.connect():
-                pass
-            assert daisy.states["wide"].storage == "memory"
-        finally:
-            daisy.close()
+        state = daisy.register_table("wide", _wide_relation(500))
+        assert state.resolved_storage() == "memory"  # nothing spilled, nothing to close
 
-    def test_auto_pins_spill_mode_under_tight_budget(self):
-        daisy = Daisy(
-            use_cost_model=False, storage="auto",
-            memory_budget_mb=TIGHT_BUDGET_MB,
-        )
-        try:
-            daisy.register_table("wide", _wide_relation())
-            with daisy.connect():
-                pass
-            assert daisy.states["wide"].storage in ("mmap", "sqlite")
-        finally:
-            daisy.close()
+    def test_auto_resolution_survives_a_later_rule(self):
+        """An FD-only table over budget spills to mmap stripes and stays
+        there when a DC arrives later: no re-homing, same answers."""
+        base, dc = _dc_relation(400)
+        pad = 18_725 // 400  # extra columns that put 400 rows over 1 MiB
+        schema = [*base.schema.columns, *((f"p{j}", ColumnType.INT) for j in range(pad))]
+        rows = [row.values + (0,) * pad for row in base.rows]
+
+        def run(storage):
+            daisy = Daisy(use_cost_model=False, storage=storage, memory_budget_mb=TIGHT_BUDGET_MB)
+            try:
+                state = daisy.register_table(
+                    "lineorder", Relation.from_rows(schema, rows, name="lineorder")
+                )
+                daisy.add_rule("lineorder", "orderkey -> discount")
+                with daisy.connect() as session:
+                    first = session.execute("SELECT discount FROM lineorder WHERE orderkey < 50")
+                    homes = [state.resolved_storage()]
+                    daisy.add_rule("lineorder", dc)
+                    second = session.execute(
+                        "SELECT orderkey FROM lineorder WHERE extended_price < 500.0"
+                    )
+                    homes.append(state.resolved_storage())
+                return homes, (
+                    first.relation.to_plain_rows(),
+                    second.relation.to_plain_rows(),
+                    _relation_fingerprint(daisy.table("lineorder")),
+                    daisy.work_counter("lineorder").as_dict(),
+                )
+            finally:
+                daisy.close()
+
+        (auto_homes, auto), (_, memory) = run("auto"), run("memory")
+        assert auto_homes == ["mmap", "mmap"]
+        assert auto == memory
 
 
 class TestEvictionReallyHappens:
