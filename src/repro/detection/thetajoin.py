@@ -195,7 +195,7 @@ class _StripeColumns:
     """
 
     __slots__ = ("rows", "numeric", "raw", "uncertain", "column_backend",
-                 "_sorted", "_numeric_arrays")
+                 "_sorted", "_numeric_arrays", "_typed")
 
     #: Lazy caches: filled on first demand, dropped by ``invalidate`` when a
     #: patch rewrites the stripe — both only ever run inside matrix
@@ -206,6 +206,7 @@ class _StripeColumns:
             "_StripeColumns.numeric_array",
             "_StripeColumns.invalidate",
         ),
+        "_typed": ("_StripeColumns.typed_column", "_StripeColumns.invalidate"),
     }
 
     def __init__(
@@ -225,6 +226,9 @@ class _StripeColumns:
         #: intra-partition pruning scans; invalidated with the sort cache
         #: whenever the maintenance layer patches stripe content.
         self._numeric_arrays: dict[str, Any] = {}
+        #: Lazy exact typed mirror of ``raw`` (``None`` = does not
+        #: vectorize) the batched residual verification compares.
+        self._typed: dict[str, kernels.TypedColumn | None] = {}
         for attr in attrs:
             idx = indexes[attr]
             cells = [row.values[idx] for row in rows]
@@ -238,6 +242,7 @@ class _StripeColumns:
         """Drop the lazy caches of one attribute after an in-place patch."""
         self._sorted.pop(attr, None)
         self._numeric_arrays.pop(attr, None)
+        self._typed.pop(attr, None)
 
     def numeric_array(self, attr: str) -> Any:
         """``numeric[attr]`` as a NaN-padded float64 ndarray (numpy backend)."""
@@ -246,6 +251,16 @@ class _StripeColumns:
             arr = kernels.numeric_array(self.numeric[attr])
             self._numeric_arrays[attr] = arr
         return arr
+
+    def typed_column(self, attr: str) -> kernels.TypedColumn | None:
+        """``raw[attr]`` as an exact typed ndarray with ``None`` and
+        probabilistic cells masked out, or ``None`` when it does not
+        vectorize exactly (numpy backend)."""
+        if attr not in self._typed:
+            self._typed[attr] = kernels.build_typed_column(
+                self.raw[attr], self.uncertain[attr]
+            )
+        return self._typed[attr]
 
     def sorted_by(self, attr: str) -> SortedColumn:
         """Concrete numeric rows of the stripe in sorted order.
@@ -681,13 +696,18 @@ class ThetaJoinMatrix:
         # the mirrored operator.
         mirrored_op = _mirror(op)
 
-        # Numpy backend: derive every probe's qualifying window in one
-        # searchsorted batch — bit-identical cuts to the per-probe bisect
-        # whenever both sides vectorize exactly.
-        window_of: dict[int, list[int]] | None = None
+        # Numpy backend: derive every concrete probe's qualifying window in
+        # one searchsorted batch — bit-identical cuts to the per-probe
+        # bisect — and verify the remaining predicates over all window
+        # pairs in one kernel call.  Either kernel declines unless it is
+        # exact; the per-probe loop below then does that part itself.
+        verdict = None
         if self.column_backend == COLUMN_NUMPY:
             concrete_a = [k for k in filtered_a if k not in a_uncertain]
-            if concrete_a:
+            comparisons = (
+                self._residual_comparisons(cols_a, cols_b) if concrete_a else None
+            )
+            if comparisons is not None:
                 cuts = kernels.search_cuts(
                     sorted_b.values,
                     [a_raw[k] for k in concrete_a],
@@ -695,18 +715,21 @@ class ThetaJoinMatrix:
                     values_exact=sorted_b.exact,
                 )
                 if cuts is not None:
-                    spos = sorted_b.positions
-                    window_of = {}
-                    if mirrored_op == "=":
-                        lo_cuts, hi_cuts = cuts
-                        for i, k in enumerate(concrete_a):
-                            window_of[k] = spos[int(lo_cuts[i]):int(hi_cuts[i])]
-                    elif mirrored_op in ("<", "<="):
-                        for i, k in enumerate(concrete_a):
-                            window_of[k] = spos[: int(cuts[i])]
-                    else:
-                        for i, k in enumerate(concrete_a):
-                            window_of[k] = spos[int(cuts[i]):]
+                    verdict = kernels.residual_window_pairs(
+                        cuts, mirrored_op, sorted_b.positions, concrete_a,
+                        comparisons, exclude_diagonal=same,
+                    )
+        if verdict is not None:
+            verified, hit_a, hit_b, left_a, left_b = verdict
+            counter.charge_comparisons(verified)
+            out.extend(
+                ViolationPair(rows_a[k].tid, rows_b[l].tid)
+                for k, l in zip(hit_a, hit_b)
+            )
+            for k, l in zip(left_a, left_b):
+                a, b = rows_a[k], rows_b[l]
+                if self._pair_violates_rest(a, b, counter):
+                    out.append(ViolationPair(a.tid, b.tid))
 
         for k in filtered_a:
             a = rows_a[k]
@@ -720,15 +743,11 @@ class ThetaJoinMatrix:
                     if self._pair_violates(a, b, counter):
                         out.append(ViolationPair(a.tid, b.tid))
                 continue
-            v = a_raw[k]
-            if window_of is not None:
-                selected = window_of[k]
+            if verdict is not None:
+                candidates = uncertain_b  # the windows are settled above
             else:
-                selected = sorted_b.range_positions(mirrored_op, v)
-            if uncertain_b:
+                selected = sorted_b.range_positions(mirrored_op, a_raw[k])
                 candidates = sorted(selected + uncertain_b)
-            else:
-                candidates = sorted(selected)
             for l in candidates:
                 b = rows_b[l]
                 if same and a.tid == b.tid:
@@ -738,6 +757,25 @@ class ThetaJoinMatrix:
                         out.append(ViolationPair(a.tid, b.tid))
                 elif self._pair_violates_rest(a, b, counter):
                     out.append(ViolationPair(a.tid, b.tid))
+        return out
+
+    def _residual_comparisons(
+        self, cols_a: _StripeColumns, cols_b: _StripeColumns
+    ) -> list[tuple[Any, str, Any]] | None:
+        """``rest_preds`` as ``(a column, op, b column)`` triples reading
+        ``a_cell op b_cell`` for :func:`kernels.residual_window_pairs`, or
+        ``None`` when one of them is not a two-tuple comparison."""
+        out: list[tuple[Any, str, Any]] = []
+        for p in self.rest_preds:
+            if p.is_single_tuple():
+                return None
+            if p.left_tuple == 0:
+                a_attr, op, b_attr = p.left_attr, p.op, p.right_attr
+            else:
+                a_attr, op, b_attr = p.right_attr, _mirror(p.op), p.left_attr
+            out.append(
+                (cols_a.typed_column(a_attr), op, cols_b.typed_column(b_attr))  # type: ignore[arg-type]
+            )
         return out
 
     # -- public API ----------------------------------------------------------------

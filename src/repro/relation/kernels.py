@@ -22,10 +22,11 @@ Kernel inventory (see ``docs/kernels.md``):
 * **filter** — :func:`mask_filter_positions`: boolean-mask selection for
   the linear-scan operators (``!=`` and friends), with ``None`` cells
   excluded exactly like ``cell_compare``'s null semantics.
-* **stripe** — :func:`numeric_mask_positions` / :func:`search_cuts`:
-  intra-stripe pruning masks over NaN-padded float arrays and
-  ``np.searchsorted`` window derivation for the sort-based inequality
-  join of the theta-join matrix.
+* **stripe** — :func:`numeric_mask_positions` / :func:`search_cuts` /
+  :func:`residual_window_pairs`: intra-stripe pruning masks over
+  NaN-padded float arrays, ``np.searchsorted`` window derivation for the
+  sort-based inequality join of the theta-join matrix, and batched
+  verification of the remaining predicates over every window pair.
 
 NumPy is an *optional* dependency: when it is absent every entry point
 reports "not applicable" and the engine runs the pure-Python paths with
@@ -34,6 +35,7 @@ zero behaviour change (enforced by the no-numpy CI job).
 
 from __future__ import annotations
 
+import operator
 from types import MappingProxyType
 
 from typing import Any
@@ -447,6 +449,14 @@ def fd_violating_groups(
 
 # -- filter kernel -------------------------------------------------------------------
 
+#: Operator symbol -> the (ndarray-broadcasting) comparison it denotes.
+_COMPARE = MappingProxyType(
+    {
+        "=": operator.eq, "!=": operator.ne,
+        "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    }
+)
+
 
 def _probe_compatible(typed: TypedColumn, value: Any) -> bool:
     t = type(value)
@@ -479,21 +489,10 @@ def mask_filter_positions(
         return []
     if not _probe_compatible(typed, value):
         return None
-    vals = typed.values
-    if op == "=":
-        mask = vals == value
-    elif op == "!=":
-        mask = vals != value
-    elif op == "<":
-        mask = vals < value
-    elif op == "<=":
-        mask = vals <= value
-    elif op == ">":
-        mask = vals > value
-    elif op == ">=":
-        mask = vals >= value
-    else:
+    compare = _COMPARE.get(op)
+    if compare is None:
         return None
+    mask = compare(typed.values, value)
     return _np.flatnonzero(mask & typed.valid).tolist()
 
 
@@ -605,6 +604,115 @@ def search_cuts(
     return _np.searchsorted(values, probe_arr, side=side)
 
 
+#: The residual kernel gathers at most this many candidate pairs at once
+#: (a few dozen scratch bytes each); longer probe lists go in chunks.
+_RESIDUAL_CHUNK_PAIRS = 1 << 15
+
+
+def _cut_windows(cuts: Any, op: str, n: int) -> tuple[Any, Any]:
+    """:func:`search_cuts` output as per-probe ``[start, stop)`` rank windows
+    into the ``n`` sorted values: a prefix for ``<``/``<=``, a suffix for
+    ``>``/``>=``, the ``(lo, hi)`` pair for ``=``."""
+    if op == "=":
+        return cuts
+    if op in ("<", "<="):
+        return _np.zeros_like(cuts), cuts
+    return cuts, _np.full_like(cuts, n)
+
+
+def residual_window_pairs(
+    cuts: Any,
+    op: str,
+    sorted_positions: list[int],
+    probe_positions: list[int],
+    comparisons: list[tuple[TypedColumn | None, str, TypedColumn | None]],
+    exclude_diagonal: bool,
+) -> tuple[int, list[int], list[int], list[int], list[int]] | None:
+    """Verify every (probe, window row) pair against the residual predicates.
+
+    The batch twin of the theta-join's per-pair ``_pair_violates_rest``
+    loop.  Probe ``i`` sits at a-stripe position ``probe_positions[i]`` and
+    its candidates are the b-stripe positions ``sorted_positions[window]``,
+    the window being what ``cuts[i]`` (from :func:`search_cuts` under
+    ``op``) selects — the slice ``SortedColumn.range_positions`` would
+    return.  Each comparison
+    ``(a_typed, op, b_typed)`` reads ``a_cell <op> b_cell`` over the two
+    stripes' typed columns.  ``exclude_diagonal`` drops pairs at equal
+    positions (the same row on a diagonal cell) before anything is counted.
+
+    Returns ``(verified, hit_a, hit_b, left_a, left_b)``: ``verified``
+    pairs were decided here — one ``charge_comparisons`` unit each — and
+    ``hit_*`` are the positions of those satisfying every comparison;
+    ``left_*`` pairs touch a cell some typed column masks out (``None``,
+    probabilistic) and stay with the scalar oracle.  ``None`` — decline —
+    unless every column is numeric and compares exactly: equal dtypes, or
+    int64 against float64 with every int inside the 2^53 bound.
+    """
+    if not HAVE_NUMPY:
+        return None
+    arrays: list[tuple[Any, Any, Any]] = []
+    a_ok: Any = None
+    b_ok: Any = None
+    for a_typed, rest_op, b_typed in comparisons:
+        if a_typed is None or b_typed is None or rest_op not in _COMPARE:
+            return None
+        if KIND_STR in (a_typed.kind, b_typed.kind):
+            return None
+        if a_typed.kind != b_typed.kind:
+            ints = (a_typed if a_typed.kind == KIND_INT else b_typed).values
+            if not (
+                (ints > -MAX_EXACT_FLOAT_INT) & (ints < MAX_EXACT_FLOAT_INT)
+            ).all():
+                return None
+        arrays.append((a_typed.values, _COMPARE[rest_op], b_typed.values))
+        a_ok = a_typed.valid if a_ok is None else a_ok & a_typed.valid
+        b_ok = b_typed.valid if b_ok is None else b_ok & b_typed.valid
+
+    spos = _np.asarray(sorted_positions, dtype=_np.int64)
+    probes = _np.asarray(probe_positions, dtype=_np.int64)
+    starts, stops = _cut_windows(cuts, op, len(sorted_positions))
+    lens = stops - starts
+    ends = _np.cumsum(lens)
+    verified = 0
+    hit_a: list[int] = []
+    hit_b: list[int] = []
+    left_a: list[int] = []
+    left_b: list[int] = []
+    lo, m = 0, len(probe_positions)
+    while lo < m:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(
+            lo + 1,
+            int(_np.searchsorted(ends, base + _RESIDUAL_CHUNK_PAIRS, side="right")),
+        )
+        total = int(ends[hi - 1]) - base
+        if total:
+            chunk_lens = lens[lo:hi]
+            # Pair p of probe i has sorted rank starts[i] + (p - first pair
+            # of i); one repeat spreads the per-probe constant.
+            firsts = ends[lo:hi] - chunk_lens - base
+            ranks = _np.arange(total) + _np.repeat(starts[lo:hi] - firsts, chunk_lens)
+            a = _np.repeat(probes[lo:hi], chunk_lens)
+            b = spos[ranks]
+            if exclude_diagonal:
+                keep = a != b
+                a, b = a[keep], b[keep]
+            if a_ok is not None:
+                clean = a_ok[a] & b_ok[b]
+                if not clean.all():
+                    left_a += a[~clean].tolist()
+                    left_b += b[~clean].tolist()
+                    a, b = a[clean], b[clean]
+            verified += int(a.size)
+            for a_vals, compare, b_vals in arrays:
+                hit = compare(a_vals[a], b_vals[b])
+                a, b = a[hit], b[hit]
+            hit_a += a.tolist()
+            hit_b += b.tolist()
+        lo = hi
+    return verified, hit_a, hit_b, left_a, left_b
+
+
 #: The kernel-oracle parity registry (checked statically by daisylint
 #: DL008 and exercised dynamically by tests/test_kernels.py): every
 #: public function in this module names the pure-Python computation it
@@ -654,5 +762,9 @@ KERNEL_ORACLES: dict[str, str] = {  # daisylint: disable=DL104 - write-once orac
     "search_cuts": (
         "per-probe bisect_left/bisect_right cuts — "
         "repro.detection.thetajoin sort-based inequality scan"
+    ),
+    "residual_window_pairs": (
+        "repro.detection.thetajoin _pair_violates_rest loop over each "
+        "probe's bisect window (Predicate.evaluate -> cell_compare per pair)"
     ),
 }

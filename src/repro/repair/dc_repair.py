@@ -112,6 +112,7 @@ def compute_dc_fixes(
     tid_rows = relation.tid_index()
     rule_name = dc.name or str(dc)
     delta = RepairDelta()
+    fixes = delta.fixes
     inversions = inversion_sets(dc)
     next_world = 1
 
@@ -131,23 +132,29 @@ def compute_dc_fixes(
         if not options:
             continue
         # Each option is one possible fix; candidates are weighted by the
-        # number of possible fixes (frequency-based, Example 5).
+        # number of possible fixes (frequency-based, Example 5).  Every
+        # option lives in a world of its own, so its candidates go straight
+        # onto the cell's list: the only key they can share is the option's
+        # own ``fix_value == original``, which unites the two supports.
+        support1 = frozenset((violation.t1,))
+        support2 = frozenset((violation.t2,))
         for tid, attr, original, fix_value in options:
             world = next_world
             next_world += 1
-            other_tid = violation.t2 if tid == violation.t1 else violation.t1
-            fix = CellFix(tid=tid, attr=attr, original=original, rules={rule_name})
-            fix.add(
-                CandidateFix(
-                    value=original, support=frozenset({tid}), world=world
+            if tid == violation.t1:
+                own, other = support1, support2
+            else:
+                own, other = support2, support1
+            cell = fixes.get((tid, attr))
+            if cell is None:
+                cell = fixes[(tid, attr)] = CellFix(
+                    tid=tid, attr=attr, original=original, rules={rule_name}
                 )
-            )
-            fix.add(
-                CandidateFix(
-                    value=fix_value, support=frozenset({other_tid}), world=world
-                )
-            )
-            delta.add_fix(fix)
+            if original == fix_value:
+                cell.candidates.append(CandidateFix(original, own | other, world))
+            else:
+                cell.candidates.append(CandidateFix(original, own, world))
+                cell.candidates.append(CandidateFix(fix_value, other, world))
     return delta
 
 

@@ -37,25 +37,61 @@ class CandidateFix(NamedTuple):
 @session_owned
 @dataclass
 class CellFix:
-    """All candidate fixes for one cell (tid, attr)."""
+    """All candidate fixes for one cell (tid, attr).
+
+    ``(value, world)`` is unique per fix when candidates arrive through
+    :meth:`add`; the key -> slot index behind that makes accumulation O(1)
+    per candidate.  Producers whose keys are unique by construction append
+    to ``candidates`` directly — the index notices the length change and
+    rebuilds itself on the next :meth:`add`.
+    """
 
     tid: int
     attr: str
     original: Any
     candidates: list[CandidateFix] = field(default_factory=list)
     rules: set[str] = field(default_factory=set)
+    #: (value, world) -> first slot in ``candidates`` holding that key;
+    #: built by the first :meth:`add`, valid while ``_indexed ==
+    #: len(candidates)``.
+    _slots: dict[tuple[Any, int], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def add(self, candidate: CandidateFix) -> None:
         """Add a candidate, merging supports for an existing (value, world)."""
-        for i, existing in enumerate(self.candidates):
-            if existing.value == candidate.value and existing.world == candidate.world:
-                self.candidates[i] = CandidateFix(
-                    value=existing.value,
-                    support=existing.support | candidate.support,
-                    world=existing.world,
-                )
-                return
-        self.candidates.append(candidate)
+        candidates = self.candidates
+        slots = self._slots
+        if slots is None or self._indexed != len(candidates):
+            slots = self._slots = {}
+            for i, c in enumerate(candidates):
+                slots.setdefault((c.value, c.world), i)
+        value = candidate.value
+        key = (value, candidate.world)
+        slot = slots.get(key)
+        # A dict also matches keys by identity; ``==`` decides here, so a
+        # value unequal to itself (NaN) never merges.
+        if slot is not None and (
+            candidates[slot].value is not value or value == value
+        ):
+            existing = candidates[slot]
+            candidates[slot] = CandidateFix(
+                value=existing.value,
+                support=existing.support | candidate.support,
+                world=existing.world,
+            )
+        else:
+            slots.setdefault(key, len(candidates))
+            candidates.append(candidate)
+        self._indexed = len(candidates)
+
+    def copy(self) -> "CellFix":
+        """An independent fix (candidates are immutable and stay shared)."""
+        return type(self)(
+            self.tid, self.attr, self.original,
+            list(self.candidates), set(self.rules),
+        )
 
     def to_pvalue(self) -> PValue:
         """Materialize as a probabilistic cell.
@@ -103,8 +139,12 @@ class RepairDelta:
             existing.add(candidate)
 
     def merge(self, other: "RepairDelta") -> None:
-        for fix in other.fixes.values():
-            self.add_fix(fix)
+        """Absorb ``other``; its fixes are copied, never aliased or mutated."""
+        for key, fix in other.fixes.items():
+            if key in self.fixes:
+                self.add_fix(fix)
+            else:
+                self.fixes[key] = fix.copy()
 
     def nontrivial_fixes(self) -> list[CellFix]:
         return [f for f in self.fixes.values() if not f.is_trivial()]

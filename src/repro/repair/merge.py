@@ -17,7 +17,14 @@ from repro.repair.fixes import CellFix, RepairDelta
 
 
 def merge_deltas(deltas: Iterable[RepairDelta]) -> RepairDelta:
-    """Merge per-rule deltas into one (order-independent by Lemma 4)."""
+    """Merge per-rule deltas into one (order-independent by Lemma 4).
+
+    The inputs are never mutated: several deltas are copied into a fresh
+    one, a single delta — nothing to merge — is returned as it is.
+    """
+    deltas = list(deltas)
+    if len(deltas) == 1:
+        return deltas[0]
     merged = RepairDelta()
     for delta in deltas:
         merged.merge(delta)

@@ -21,13 +21,14 @@ import pytest
 
 from repro import Daisy
 from repro.api.config import DaisyConfig
-from repro.constraints import FunctionalDependency
+from repro.constraints import DenialConstraint, FunctionalDependency, Predicate
 from repro.core.state import TableState
 from repro.datasets import ssb, workloads
 from repro.detection import matrix_fingerprint
 from repro.detection.fd_detector import detect_fd_violations
+from repro.detection.thetajoin import ThetaJoinMatrix
 from repro.engine.stats import WorkCounter
-from repro.probabilistic.value import cell_compare
+from repro.probabilistic.value import Candidate, PValue, ValueRange, cell_compare
 from repro.relation import ColumnType, Relation
 from repro.relation import kernels
 from repro.relation.columnview import ColumnView
@@ -412,6 +413,113 @@ class TestViewParity:
         s = patched.sorted_column("k")
         ref, _ = make_views([(7,) + r[1:] for r in [self.ROWS[0]]] + self.ROWS[1:])
         assert s.values == ref.sorted_column("k").values
+
+
+# -- theta-join residual verification ---------------------------------------------------
+
+
+def check_every_cell(rows, dc, sqrt_p, column_backend):
+    """Violations and private counter of each matrix cell, in cell order."""
+    relation = Relation.from_rows(
+        [("a", ColumnType.FLOAT), ("b", ColumnType.FLOAT)], rows, validate=False
+    )
+    matrix = ThetaJoinMatrix(
+        relation, dc, sqrt_p=sqrt_p, counter=WorkCounter(),
+        column_backend=column_backend,
+    )
+    out = []
+    for i in range(matrix.num_stripes()):
+        for j in range(i, matrix.num_stripes()):
+            local = WorkCounter()
+            pairs = matrix._check_cell(i, j, counter=local)
+            out.append(((i, j), [(v.t1, v.t2) for v in pairs], local))
+    return out
+
+
+def residual_dc(op):
+    return DenialConstraint(
+        [Predicate(0, "a", "<", 1, "a"), Predicate(0, "b", op, 1, "b")], name="dc"
+    )
+
+
+_PV = PValue([Candidate(3, 0.5), Candidate(ValueRange(low=6.0), 0.5)])
+
+#: b columns crossing every routing decision of the residual kernel.
+RESIDUAL_B_COLUMNS = {
+    "ints": [9, 3, 7, 7, 1, 8, 2, 6, 4, 5],
+    "nulls": [9, None, 7, 7, 1, None, 2, 6, 4, 5],
+    "probabilistic": [9, 3, _PV, 7, 1, 8, _PV, 6, 4, 5],
+    "mixed int/float": [9, 3.5, 7, 7.0, 1, 8.25, 2, 6, 4.5, 5],
+    "ints above 2**53": [2**53 + 9, 2**53 + 3, 7, 2**53 + 7, 1, 8, 2, 2**53 + 6, 4, 5],
+    "inexact mix declines": [2**53 + 1, 3.5, 7, 7, 1, 8, 2, 6, 4, 5],
+    "strings decline": [9, "x", 7, 7, 1, 8, 2, 6, 4, 5],
+}
+
+
+class TestResidualVerificationParity:
+    """Batched residual checks == the per-pair ``_pair_violates_rest`` loop.
+
+    Runs without NumPy too (both backends are then the scalar path)."""
+
+    @pytest.mark.parametrize("sqrt_p", [1, 3])  # 1 = one diagonal cell
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("name", sorted(RESIDUAL_B_COLUMNS))
+    def test_cells_and_charges_identical(self, name, op, sqrt_p):
+        b = RESIDUAL_B_COLUMNS[name]
+        rows = [(float(k % 7), b[k]) for k in range(len(b))]  # ties in a
+        dc = residual_dc(op)
+        assert check_every_cell(rows, dc, sqrt_p, COLUMN_NUMPY) == check_every_cell(
+            rows, dc, sqrt_p, COLUMN_PYTHON
+        )
+
+    def test_probabilistic_and_null_driving_cells(self):
+        a = [0.0, _PV, 2.0, None, 4.0, 5.0, _PV, 7.0]
+        rows = [(a[k], RESIDUAL_B_COLUMNS["probabilistic"][k]) for k in range(len(a))]
+        for sqrt_p in (1, 2):
+            for op in (">", "!="):
+                dc = residual_dc(op)
+                assert check_every_cell(
+                    rows, dc, sqrt_p, COLUMN_NUMPY
+                ) == check_every_cell(rows, dc, sqrt_p, COLUMN_PYTHON)
+
+    @needs_numpy
+    def test_kernel_decides_clean_pairs_and_leaves_the_rest(self, monkeypatch):
+        verdicts = []
+        kernel = kernels.residual_window_pairs
+
+        def spy(*args, **kwargs):
+            verdicts.append(kernel(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(kernels, "residual_window_pairs", spy)
+        dc = residual_dc(">")
+
+        def rows_of(name):
+            b = RESIDUAL_B_COLUMNS[name]
+            return [(float(k), b[k]) for k in range(len(b))]
+
+        counter = check_every_cell(rows_of("ints"), dc, 1, COLUMN_NUMPY)[0][2]
+        (verified, hit_a, _hit_b, left_a, _left_b), = verdicts
+        assert verified == counter.comparisons > 0  # one unit per pair, in bulk
+        assert hit_a and not left_a
+
+        del verdicts[:]
+        counter = check_every_cell(rows_of("probabilistic"), dc, 1, COLUMN_NUMPY)[0][2]
+        (verified, _hit_a, _hit_b, left_a, _left_b), = verdicts
+        assert left_a and verified + len(left_a) == counter.comparisons
+
+        del verdicts[:]
+        check_every_cell(rows_of("strings decline"), dc, 1, COLUMN_NUMPY)
+        assert verdicts == [None]
+
+    @needs_numpy
+    def test_kernel_chunks_long_probe_lists(self, monkeypatch):
+        rows = [(float(k), float((k * 7) % 23)) for k in range(40)]
+        dc = residual_dc(">")
+        whole = check_every_cell(rows, dc, 2, COLUMN_NUMPY)
+        monkeypatch.setattr(kernels, "_RESIDUAL_CHUNK_PAIRS", 16)
+        assert check_every_cell(rows, dc, 2, COLUMN_NUMPY) == whole
+        assert whole == check_every_cell(rows, dc, 2, COLUMN_PYTHON)
 
 
 # -- seeded end-to-end forced-backend parity ------------------------------------------

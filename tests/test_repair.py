@@ -46,6 +46,110 @@ class TestCellFix:
         assert not fix.is_trivial()
 
 
+    def test_add_after_direct_append_sees_the_appended_key(self):
+        # fd_repair appends to ``candidates`` directly; the index must not
+        # go stale under it.
+        fix = CellFix(tid=0, attr="a", original="x")
+        fix.add(CandidateFix("x", frozenset({0}), 0))
+        fix.candidates.append(CandidateFix("y", frozenset({1}), 0))
+        fix.add(CandidateFix("y", frozenset({2}), 0))
+        assert [(c.value, c.support) for c in fix.candidates] == [
+            ("x", frozenset({0})),
+            ("y", frozenset({1, 2})),
+        ]
+
+    def test_nan_never_merges_and_equal_numbers_do(self):
+        nan = float("nan")
+        fix = CellFix(tid=0, attr="a", original=1)
+        for tid, value in enumerate((nan, nan, 1, 1.0, True)):
+            fix.add(CandidateFix(value, frozenset({tid}), 0))
+        assert [c.support for c in fix.candidates] == [
+            frozenset({0}), frozenset({1}), frozenset({2, 3, 4})
+        ]
+        assert type(fix.candidates[2].value) is int  # the first spelling is kept
+
+
+def _reference_add(fix: CellFix, candidate: CandidateFix) -> None:
+    """The linear (value, world) scan ``CellFix.add`` used to be."""
+    for i, existing in enumerate(fix.candidates):
+        if existing.value == candidate.value and existing.world == candidate.world:
+            fix.candidates[i] = CandidateFix(
+                existing.value, existing.support | candidate.support, existing.world
+            )
+            return
+    fix.candidates.append(candidate)
+
+
+_NAN = float("nan")
+_fix_value = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([1, 1.0, True, 0, 0.0, False, "a", "b", "1", _NAN]),
+    st.builds(float, st.just("nan")),  # a NaN object of its own
+    st.builds(
+        ValueRange,
+        low=st.sampled_from([None, 1, 1.0, 2.5]),
+        low_open=st.booleans(),
+    ),
+)
+_fix_step = st.tuples(
+    st.sampled_from(["add", "add", "add", "append"]),
+    _fix_value,
+    st.integers(0, 2),
+    st.sets(st.integers(0, 5), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_fix_step, max_size=30))
+def test_keyed_add_equals_linear_scan(steps):
+    keyed = CellFix(tid=0, attr="a", original=0)
+    scanned = CellFix(tid=0, attr="a", original=0)
+    for how, value, world, support in steps:
+        candidate = CandidateFix(value, frozenset(support), world)
+        if how == "append":  # producers with unique-by-construction keys
+            keyed.candidates.append(candidate)
+            scanned.candidates.append(candidate)
+        else:
+            keyed.add(candidate)
+            _reference_add(scanned, candidate)
+
+    def shape(fix):
+        return [(repr(c.value), sorted(c.support), c.world) for c in fix.candidates]
+
+    assert shape(keyed) == shape(scanned)
+    if keyed.candidates:
+        assert repr(keyed.to_pvalue()) == repr(scanned.to_pvalue())
+
+
+def test_dc_fix_accumulation_is_linear_in_violations(monkeypatch):
+    """A star of k violations sharing one cell: the ``ValueRange.__eq__``
+    calls per violation must not grow with k (the scan made them ~k)."""
+    calls = [0]
+    original_eq = ValueRange.__eq__
+
+    def counting_eq(self, other):
+        calls[0] += 1
+        return original_eq(self, other)
+
+    monkeypatch.setattr(ValueRange, "__eq__", counting_eq)
+    dc = DenialConstraint(
+        [Predicate(0, "a", "<", 1, "a"), Predicate(0, "b", ">", 1, "b")], name="dc"
+    )
+
+    def eq_calls(k: int) -> int:
+        rel = Relation.from_rows(
+            [("a", ColumnType.INT), ("b", ColumnType.INT)],
+            [(0, 10_000)] + [(i, 10_000 - i) for i in range(1, k + 1)],
+        )
+        calls[0] = 0
+        delta = compute_dc_fixes(rel, dc, [ViolationPair(0, i) for i in range(1, k + 1)])
+        assert len(delta.fixes[(0, "a")].candidates) == 2 * k
+        return calls[0]
+
+    small, large = eq_calls(200), eq_calls(400)
+    assert large <= 2.2 * max(small, 1)
+
+
 class TestRepairDelta:
     def test_add_fix_merges_per_cell(self):
         delta = RepairDelta()
@@ -260,6 +364,49 @@ class TestMerge:
         a = self.make_delta("r1", "v", {1})
         b = self.make_delta("r1", "w", {1})
         assert not deltas_equivalent(a, b)
+
+    def test_merge_leaves_its_inputs_untouched(self):
+        inputs = [
+            self.make_delta("r1", "v", {1, 2}),
+            self.make_delta("r2", "v", {3}),
+            self.make_delta("r3", "w", {4}),
+        ]
+
+        def snapshot():
+            return [
+                (key, list(fix.candidates), set(fix.rules))
+                for delta in inputs
+                for key, fix in delta.fixes.items()
+            ]
+
+        before = snapshot()
+        merged = merge_deltas(inputs)
+        assert snapshot() == before
+        assert all(
+            merged.fixes[key] is not delta.fixes[key]
+            for delta in inputs
+            for key in delta.fixes
+        )
+        assert merged.fixes[(0, "x")].rules == {"r1", "r2", "r3"}
+        assert merge_deltas(inputs[:1]) is inputs[0]  # nothing to merge or copy
+
+    def test_merge_commutes_fails_on_an_order_dependent_merge(self):
+        class FirstTwoWin(CellFix):
+            """Keeps the first two candidates it is given: order-dependent."""
+
+            def add(self, candidate):
+                if len(self.candidates) < 2:
+                    super().add(candidate)
+
+        def fake(rule, value):
+            delta = RepairDelta()
+            fix = FirstTwoWin(tid=0, attr="x", original="o", rules={rule})
+            fix.add(CandidateFix("o", frozenset({0}), 0))
+            fix.add(CandidateFix(value, frozenset({1}), 0))
+            delta.add_fix(fix)
+            return delta
+
+        assert not merge_commutes([fake("r1", "v"), fake("r2", "w")])
 
 
 class TestProvenance:
