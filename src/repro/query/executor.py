@@ -13,7 +13,7 @@ re-evaluates filters over the repaired scope to pick them up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.operators import CleanReport, clean_join, clean_sigma
 from repro.core.state import TableState
@@ -98,6 +98,35 @@ class Executor:
         if connector is Connector.OR:
             return any(checks)
         return all(checks)
+
+    @staticmethod
+    def _bound_filter(
+        relation: Relation,
+        conditions: list[Condition],
+        connector: Connector,
+        qualified: bool,
+    ) -> Callable[[Row], bool]:
+        """:meth:`_row_satisfies` as a row predicate with every condition's
+        column index resolved once (per query) instead of once per row."""
+        bound = [
+            (
+                relation.schema.index_of(
+                    cond.column.qualified() if qualified else cond.column.name
+                ),
+                cond.op,
+                cond.value,
+            )
+            for cond in conditions
+        ]
+        if not bound:
+            return lambda row: True
+        combine = any if connector is Connector.OR else all
+
+        def satisfies(row: Row) -> bool:
+            values = row.values
+            return combine(cell_compare(values[i], op, v) for i, op, v in bound)
+
+        return satisfies
 
     def _filter_tids(
         self,
@@ -354,13 +383,11 @@ class Executor:
                     left_where_attrs=resolved.where_attrs_of(left_table),
                     right_where_attrs=resolved.where_attrs_of(right_table),
                     dc_error_threshold=self.dc_error_threshold,
-                    left_filter=lambda row: self._row_satisfies(
-                        row, left_state.relation, left_conditions,
-                        query.connector, False,
+                    left_filter=self._bound_filter(
+                        left_state.relation, left_conditions, query.connector, False
                     ),
-                    right_filter=lambda row: self._row_satisfies(
-                        row, right_state.relation, right_conditions,
-                        query.connector, False,
+                    right_filter=self._bound_filter(
+                        right_state.relation, right_conditions, query.connector, False
                     ),
                     parallel=self.parallel,
                 )
@@ -401,9 +428,7 @@ class Executor:
         if not conditions:
             return relation
         return relation.filter(
-            lambda row: self._row_satisfies(
-                row, relation, conditions, query.connector, qualified=True
-            )
+            self._bound_filter(relation, conditions, query.connector, qualified=True)
         )
 
     def _finish_join(

@@ -32,11 +32,11 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Sequence
 
-from repro._ownership import shared_engine_state
+from repro._ownership import immutable_after_init, shared_engine_state
 from repro.engine.stats import WorkCounter
-from repro.probabilistic.value import PValue, cell_compare, plain
+from repro.probabilistic.value import PValue, ValueRange, cell_compare, plain
 from repro.relation import kernels
 from repro.relation.kernels import COLUMN_NUMPY, COLUMN_PYTHON, TypedColumn
 
@@ -100,8 +100,11 @@ class SortedColumn:
 
         Raises ``TypeError`` when ``value`` is not comparable with the
         column (callers treat that as "no concrete match", mirroring
-        ``_concrete_satisfies``).
+        ``_concrete_satisfies``).  A NaN probe orders against nothing, so
+        it matches no position instead of bisecting to an arbitrary cut.
         """
+        if value != value:
+            return []
         if op == "<":
             return self.positions[: bisect_left(self.values, value)]
         if op == "<=":
@@ -116,6 +119,30 @@ class SortedColumn:
             return self.positions[lo:hi]
         raise ValueError(f"unsupported sorted-column operator {op!r}")
 
+    def replaced(
+        self, removed: Iterable[tuple[Any, int]], added: Iterable[tuple[Any, int]]
+    ) -> "SortedColumn":
+        """A copy without the ``removed`` (value, position) pairs and with the
+        ``added`` ones slotted in — equal to re-sorting the edited pairs.
+
+        Raises ``TypeError`` when an added value does not order against the
+        column.  ``exact`` is not carried over.
+        """
+        values, positions = list(self.values), list(self.positions)
+
+        def slot(value: Any, pos: int) -> int:
+            lo = bisect_left(values, value)
+            return bisect_left(positions, pos, lo, bisect_right(values, value, lo))
+
+        for value, pos in removed:
+            at = slot(value, pos)
+            del values[at], positions[at]
+        for value, pos in added:
+            at = slot(value, pos)
+            values.insert(at, value)
+            positions.insert(at, pos)
+        return SortedColumn(values, positions)
+
 
 def _pvalue_bound(cell: PValue) -> tuple[Any, Any] | None:
     """(min, max) candidate points of a probabilistic cell, or None.
@@ -123,63 +150,163 @@ def _pvalue_bound(cell: PValue) -> tuple[Any, Any] | None:
     A range candidate contributes its low/high end (±inf when unbounded);
     any-candidate inequality semantics then reduce to one comparison
     against the min (for ``<``/``<=``) or max (for ``>``/``>=``) point.
-    ``None`` means the candidates are not mutually comparable and the
-    caller must fall back to the full possible-worlds evaluation.
+    ``None`` means the candidates are not mutually comparable, or one of
+    their points is NaN (a leading NaN would stay the bound, since nothing
+    compares below or above it), and the caller must fall back to the full
+    possible-worlds evaluation.
     """
     lo: Any = None
     hi: Any = None
-    for cand in cell.candidates:
-        if cand.is_range():
-            rng = cand.value
-            c_lo = -math.inf if rng.low is None else rng.low
-            c_hi = math.inf if rng.high is None else rng.high
-        else:
+    try:
+        for cand in cell.candidates:
             value = cand.value
-            if value is None:
+            if isinstance(value, ValueRange):
+                c_lo = -math.inf if value.low is None else value.low
+                c_hi = math.inf if value.high is None else value.high
+                if c_lo != c_lo or c_hi != c_hi:
+                    return None
+            elif value is None:
                 continue  # a None candidate satisfies no comparison
-            c_lo = c_hi = value
-        try:
+            elif value != value:
+                return None
+            else:
+                c_lo = c_hi = value
             lo = c_lo if lo is None else min(lo, c_lo)
             hi = c_hi if hi is None else max(hi, c_hi)
-        except TypeError:
-            return None
+    except TypeError:
+        return None
     if lo is None:
         return None
     return (lo, hi)
 
 
-class PValueBoundsSidecar:
-    """Per-position (min, max) candidate points of one attribute's PValues.
+#: A patch touching at most 1/N of a sidecar's cells is slotted into the
+#: sorted orders; a larger one re-sorts them.
+_BOUNDS_RESORT_FRACTION = 8
 
-    Lets range selections answer ``exists candidate: candidate <op> value``
-    with a single comparison per probabilistic cell.  Patched positionally
-    when cells change (see :meth:`ColumnView.patched`).
+
+@immutable_after_init
+class PValueBoundsSidecar:
+    """(min, max) candidate points of one attribute's PValues, sorted.
+
+    ``exists candidate: candidate <op> value`` over every probabilistic cell
+    of the attribute is one bisection and one slice: ``orders[0]`` holds the
+    bounded cells by (min point, position) and serves ``<``/``<=``,
+    ``orders[1]`` holds them by (max point, position) and serves ``>``/``>=``.
+    Exact or declined: cells with no bound are ``loose`` (the caller runs
+    ``cell_compare`` on them), and when the bounds do not sort against each
+    other, or the probe is NaN, not an int/float/str, or does not order
+    against the bounds, every cell is loose.  Patched positionally when
+    cells change (see :meth:`ColumnView.patched`); never written after
+    construction.
     """
 
-    __slots__ = ("attr", "bounds")
+    __slots__ = ("attr", "bounds", "orders", "loose")
 
-    def __init__(self, view: "ColumnView", attr: str) -> None:
+    def __init__(
+        self,
+        attr: str,
+        bounds: dict[int, tuple[Any, Any] | None],
+        orders: tuple[SortedColumn, SortedColumn] | None,
+        loose: frozenset[int],
+    ) -> None:
         self.attr = attr
+        self.bounds = bounds
+        #: ``(by_lo, by_hi)``; None when the bounds are mutually incomparable.
+        self.orders = orders
+        self.loose = loose
+
+    @classmethod
+    def of_bounds(
+        cls, attr: str, bounds: dict[int, tuple[Any, Any] | None]
+    ) -> "PValueBoundsSidecar":
+        """The sidecar of a position -> bound map, sorting both orders.
+
+        Each order is a stable key sort over ascending positions — the
+        (point, position) order without building a tuple per cell.
+        """
+        loose = frozenset(pos for pos, bound in bounds.items() if bound is None)
+        positions = sorted(bounds.keys() - loose)
+        orders = []
+        for end in (0, 1):
+            points = [bounds[pos][end] for pos in positions]  # type: ignore[index]
+            try:
+                ranks = sorted(range(len(points)), key=points.__getitem__)
+            except TypeError:
+                return cls(attr, bounds, None, loose)
+            orders.append(
+                SortedColumn([points[i] for i in ranks], [positions[i] for i in ranks])
+            )
+        return cls(attr, bounds, (orders[0], orders[1]), loose)
+
+    @classmethod
+    def of_view(cls, view: "ColumnView", attr: str) -> "PValueBoundsSidecar":
         column = view.columns[attr]
-        self.bounds: dict[int, tuple[Any, Any] | None] = {
-            pos: _pvalue_bound(column[pos]) for pos in view.pvalue_positions(attr)
-        }
+        return cls.of_bounds(
+            attr,
+            {pos: _pvalue_bound(column[pos]) for pos in view.pvalue_positions(attr)},
+        )
+
+    def select(self, op: str, value: Any) -> tuple[Sequence[int], Collection[int]]:
+        """``(hits, loose)`` for ``cell <op> value`` with ``op`` an inequality:
+        positions that satisfy it for certain, and positions the caller must
+        still evaluate with ``cell_compare``."""
+        orders = self.orders
+        if orders is None or value != value or not isinstance(value, (int, float, str)):
+            return (), self.bounds  # declined: every position is loose
+        order = orders[0] if op in ("<", "<=") else orders[1]
+        try:
+            return order.range_positions(op, value), self.loose
+        except TypeError:
+            return (), self.bounds
 
     def patched_for_view(
         self, view: "ColumnView", touched: dict[str, list[int]]
     ) -> "PValueBoundsSidecar":
-        clone = PValueBoundsSidecar.__new__(PValueBoundsSidecar)
-        clone.attr = self.attr
+        """The sidecar after the cells at ``touched[attr]`` (distinct
+        positions) changed: small patches slot into the sorted orders,
+        large ones — and any patch of a declined sidecar — re-sort."""
         bounds = dict(self.bounds)
         pvals = view.pvalue_positions(self.attr)
         column = view.columns[self.attr]
-        for pos in touched.get(self.attr, ()):
+        positions = touched.get(self.attr, ())
+        orders = self.orders
+        if (
+            orders is None
+            or len(positions) * _BOUNDS_RESORT_FRACTION > len(self.bounds)
+        ):
+            for pos in positions:
+                if pos in pvals:
+                    bounds[pos] = _pvalue_bound(column[pos])
+                else:
+                    bounds.pop(pos, None)
+            return self.of_bounds(self.attr, bounds)
+        loose = set(self.loose)
+        removed: list[tuple[int, tuple[Any, Any]]] = []
+        added: list[tuple[int, tuple[Any, Any]]] = []
+        for pos in positions:
+            old = bounds.pop(pos, None)
+            if old is not None:
+                removed.append((pos, old))
+            loose.discard(pos)
             if pos in pvals:
-                bounds[pos] = _pvalue_bound(column[pos])
-            else:
-                bounds.pop(pos, None)
-        clone.bounds = bounds
-        return clone
+                bounds[pos] = new = _pvalue_bound(column[pos])
+                if new is not None:
+                    added.append((pos, new))
+                else:
+                    loose.add(pos)
+        try:
+            by_lo, by_hi = (
+                order.replaced(
+                    [(bound[end], pos) for pos, bound in removed],
+                    [(bound[end], pos) for pos, bound in added],
+                )
+                for end, order in enumerate(orders)
+            )
+        except TypeError:
+            # A new bound does not order against the rest: the re-sort declines.
+            return self.of_bounds(self.attr, bounds)
+        return PValueBoundsSidecar(self.attr, bounds, (by_lo, by_hi), frozenset(loose))
 
 
 @dataclass(frozen=True)
@@ -370,10 +497,12 @@ class ColumnView:
             self._sorted[attr] = col
             return col
         pvals = self.pvalue_positions(attr)
+        # ``v == v`` drops NaN cells with the NULLs: they satisfy no ordering
+        # comparison and would leave the pair sort without a total order.
         pairs = [
             (v, pos)
             for pos, v in enumerate(self.columns[attr])
-            if v is not None and pos not in pvals
+            if v is not None and v == v and pos not in pvals
         ]
         try:
             pairs.sort()
@@ -476,6 +605,11 @@ class ColumnView:
     def _build_group_index(
         self, keys: tuple[str, ...]
     ) -> tuple[list[tuple[Any, ...]], dict[tuple[Any, ...], list[int]]]:
+        if not keys:
+            # An aggregate without GROUP BY: one group holding every row
+            # (none over an empty table, as the row scan below would find).
+            everything = list(range(len(self)))
+            return ([()], {(): everything}) if everything else ([], {})
         if len(keys) == 1:
             attr = keys[0]
             if not self.pvalue_positions(attr):
@@ -596,34 +730,17 @@ class ColumnView:
 
         if not pvals:
             return out
+        loose: Collection[int] = pvals
         if op in ("<", "<=", ">", ">=") and value is not None:
-            # One comparison per probabilistic cell via the bounds sidecar.
+            # One bisection over the sorted bounds sidecar; only the cells it
+            # cannot decide exactly pay the possible-worlds evaluation.
             sidecar: PValueBoundsSidecar = self.derived(
-                ("pv_bounds", attr), (attr,), lambda: PValueBoundsSidecar(self, attr)
+                ("pv_bounds", attr), (attr,),
+                lambda: PValueBoundsSidecar.of_view(self, attr),
             )
-            bounds = sidecar.bounds
-            for pos in pvals:
-                bound = bounds.get(pos)
-                if bound is None:
-                    if cell_compare(column[pos], op, value):
-                        out.add(pos)
-                    continue
-                lo, hi = bound
-                try:
-                    if op == "<":
-                        ok = lo < value
-                    elif op == "<=":
-                        ok = lo <= value
-                    elif op == ">":
-                        ok = hi > value
-                    else:
-                        ok = hi >= value
-                except TypeError:
-                    ok = cell_compare(column[pos], op, value)
-                if ok:
-                    out.add(pos)
-            return out
-        for pos in pvals:
+            hits, loose = sidecar.select(op, value)
+            out.update(hits)
+        for pos in loose:
             if cell_compare(column[pos], op, value):
                 out.add(pos)
         return out
@@ -631,8 +748,9 @@ class ColumnView:
     def filter_tids(
         self, attr: str, op: str, value: Any, counter: WorkCounter | None = None
     ) -> set[int]:
-        tids = self.tids
-        return {tids[pos] for pos in self.filter_positions(attr, op, value, counter)}
+        return set(
+            map(self.tids.__getitem__, self.filter_positions(attr, op, value, counter))
+        )
 
     # -- derived caches ---------------------------------------------------------------
 

@@ -14,6 +14,7 @@ candidate satisfies it).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro._ownership import shared_engine_state
@@ -203,7 +204,17 @@ class Relation:
         """Project to ``attrs`` (tids preserved)."""
         indices = [self.schema.index_of(a) for a in attrs]
         schema = self.schema.project(attrs)
-        rows = [Row(r.tid, tuple(r.values[i] for i in indices)) for r in self._rows]
+        if indices == list(range(len(self.schema))):
+            # The identity projection: rows are immutable, so share them.
+            return Relation(schema, list(self._rows), name=self.name)
+        if len(indices) > 1:
+            pick = itemgetter(*indices)
+            rows = [Row(r.tid, pick(r.values)) for r in self._rows]
+        elif indices:  # itemgetter of one index returns the bare cell
+            only = indices[0]
+            rows = [Row(r.tid, (r.values[only],)) for r in self._rows]
+        else:
+            rows = [Row(r.tid, ()) for r in self._rows]
         return Relation(schema, rows, name=self.name)
 
     def rename(self, mapping: dict[str, str]) -> "Relation":
@@ -227,10 +238,24 @@ class Relation:
         )
 
     def restrict_tids(self, tids: set[int]) -> "Relation":
-        """Rows whose tid is in ``tids``."""
-        return Relation(
-            self.schema, [r for r in self._rows if r.tid in tids], name=self.name
-        )
+        """Rows whose tid is in ``tids``, in this relation's row order.
+
+        An answer under half the table is fetched through the cached view's
+        tid -> position map (sorted positions are row order) instead of
+        scanning every row; a relation without a view, or whose tids repeat,
+        scans.
+        """
+        view = self._colview
+        rows = self._rows
+        if (
+            view is not None
+            and 2 * len(tids) < len(rows)
+            and len(view.pos_of_tid) == len(rows)
+        ):
+            picked = [rows[pos] for pos in view.positions_of(tids)]
+        else:
+            picked = [r for r in rows if r.tid in tids]
+        return Relation(self.schema, picked, name=self.name)
 
     def distinct_values(self, attr: str) -> set[Any]:
         """Distinct concrete values of a column; PValues contribute candidates."""

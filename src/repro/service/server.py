@@ -116,7 +116,12 @@ class ServiceServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return _http_response(
+                "400 Bad Request", _error_body(f"invalid Content-Length {raw_length!r}")
+            )
+        length = int(raw_length)
         if length > _MAX_BODY_BYTES:
             return _http_response(
                 "413 Payload Too Large", _error_body("request body too large")

@@ -17,6 +17,7 @@ from repro.relation.columnview import (
     BACKEND_COLUMNAR,
     BACKEND_ROWSTORE,
     ColumnView,
+    PValueBoundsSidecar,
     validate_backend,
 )
 
@@ -100,6 +101,113 @@ class TestFiltering:
         assert view.filter_tids("s", "<", "b") == {0, 2}
         # Incomparable constant: no row satisfies (same as cell_compare).
         assert view.filter_tids("s", "<", 42) == naive_filter(rel, "s", "<", 42)
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_nan_probe_matches_no_concrete_cell(self, op):
+        # Regression: bisecting a NaN probe cut the sorted column at an
+        # arbitrary place ("<=" / ">=" returned every position).
+        rel = Relation.from_rows(
+            [("x", ColumnType.FLOAT)], [(1.0,), (2.0,), (3.0,)], name="t"
+        )
+        nan = float("nan")
+        assert rel.column_view().filter_positions("x", op, nan) == set()
+        assert naive_filter(rel, "x", op, nan) == set()
+
+    def test_nan_candidate_does_not_poison_the_bound(self):
+        # Regression: min/max over candidates let a leading NaN become the
+        # (nan, nan) bound, which dropped a cell both comparisons accept.
+        cell = PValue(
+            [Candidate(float("nan"), 0.5), Candidate(1.0, 0.25), Candidate(5.0, 0.25)]
+        )
+        rel = Relation.from_rows(
+            [("x", ColumnType.FLOAT)], [(cell,), (2.0,)], name="t", validate=False
+        )
+        view = rel.column_view()
+        assert cell_compare(cell, "<", 3.0) and cell_compare(cell, ">", 3.0)
+        assert view.filter_positions("x", "<", 3.0) == {0, 1}
+        assert view.filter_positions("x", ">", 3.0) == {0}
+
+    def test_nan_cells_stay_out_of_the_sorted_index(self):
+        rel = Relation.from_rows(
+            [("x", ColumnType.FLOAT)],
+            [(3.0,), (float("nan"),), (1.0,), (2.0,), (float("nan"),), (0.5,)],
+            name="t",
+        )
+        view = rel.column_view()
+        for op in ("<", "<=", ">", ">="):
+            for value in (0.7, 2.0, 2.5):
+                assert view.filter_tids("x", op, value) == naive_filter(
+                    rel, "x", op, value
+                ), (op, value)
+
+
+class TestBoundsSidecar:
+    """The sorted (min, max) sidecar behind range filters over PValues."""
+
+    @staticmethod
+    def _pv(*values):
+        return PValue(
+            Candidate(v, 1.0 / len(values), world=i) for i, v in enumerate(values)
+        )
+
+    def _relation(self, n=32):
+        return Relation.from_rows(
+            [("x", ColumnType.INT)],
+            [(self._pv(i, i + 10),) for i in range(n)],
+            name="t", validate=False,
+        )
+
+    @staticmethod
+    def _sidecar(view):
+        return view.derived(
+            ("pv_bounds", "x"), ("x",), lambda: PValueBoundsSidecar.of_view(view, "x")
+        )
+
+    def test_orders_are_sorted_by_low_and_by_high_end(self):
+        rel = self._relation(4).update_cells({(1, "x"): self._pv(-5, 50)})
+        by_lo, by_hi = self._sidecar(rel.column_view()).orders
+        assert (by_lo.values, by_lo.positions) == ([-5, 0, 2, 3], [1, 0, 2, 3])
+        assert (by_hi.values, by_hi.positions) == ([10, 12, 13, 50], [0, 2, 3, 1])
+
+    def test_unbounded_cells_are_loose_and_still_answered(self):
+        rel = self._relation(4).update_cells({
+            (0, "x"): self._pv("a", 3),        # candidates do not order
+            (2, "x"): self._pv(None),          # no point at all
+        })
+        view = rel.column_view()
+        assert self._sidecar(view).loose == {0, 2}
+        for op in ("<", "<=", ">", ">="):
+            assert view.filter_tids("x", op, 4) == naive_filter(rel, "x", op, 4)
+
+    def test_incomparable_bounds_decline_and_recover(self):
+        rel = self._relation(16)
+        self._sidecar(rel.column_view())
+        mixed = rel.update_cells({(5, "x"): self._pv("a", "b")})
+        declined = self._sidecar(mixed.column_view())
+        assert declined.orders is None
+        hits, loose = declined.select("<", 4)
+        assert not hits and set(loose) == set(range(16))
+        assert mixed.column_view().filter_tids("x", "<", 4) == naive_filter(
+            mixed, "x", "<", 4
+        )
+        healed = mixed.update_cells({(5, "x"): self._pv(5, 15)})
+        assert self._sidecar(healed.column_view()).orders is not None
+
+    @pytest.mark.parametrize("touched", [1, 3, 12])
+    def test_patched_equals_cold_built(self, touched):
+        # 1 and 3 of 32 cells slot in positionally, 12 forces the re-sort;
+        # cells leave (concrete), enter loose (None) and move (new bound).
+        rel = self._relation()
+        self._sidecar(rel.column_view())
+        cells = [7, self._pv(None), self._pv(-3, 99)]
+        rel = rel.update_cells(
+            {(tid * 2, "x"): cells[tid % 3] for tid in range(touched)}
+        )
+        patched = self._sidecar(rel.column_view())
+        cold = PValueBoundsSidecar.of_view(ColumnView.from_relation(rel), "x")
+        assert patched.bounds == cold.bounds and patched.loose == cold.loose
+        for mine, theirs in zip(patched.orders, cold.orders):
+            assert (mine.values, mine.positions) == (theirs.values, theirs.positions)
 
 
 class TestPatching:

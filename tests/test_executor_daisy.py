@@ -4,6 +4,8 @@ import pytest
 
 from repro import Daisy
 from repro.probabilistic import PValue
+from repro.query.ast import ColumnRef, Condition, Connector
+from repro.query.executor import Executor
 from repro.relation import ColumnType, Relation
 
 
@@ -133,6 +135,45 @@ class TestJoinQueries:
             )
         names = sorted(row.values[1] for row in result.relation.rows)
         assert names == ["Jon", "Mary", "Peter", "Peter"]
+
+    def test_bound_side_filters_equal_row_satisfies(self):
+        # After the first run both join keys are probabilistic; the filters
+        # clean⋈ re-applies, bound to column indexes once per query, must
+        # keep exactly the rows the per-row name-resolving oracle keeps.
+        sql = (
+            "SELECT cities.zip, employee.ename FROM cities, employee "
+            "WHERE cities.zip = employee.zip "
+            "AND cities.zip > 9001 AND employee.zip <= 10001"
+        )
+        engine = self.make_daisy()
+        with engine.connect() as session:
+            first = session.execute(sql).rows()
+            assert session.probabilistic_cells("cities") > 0
+            assert session.probabilistic_cells("employee") > 0
+            assert session.execute(sql).rows() == first
+        joined = engine.table("cities").equi_join(
+            engine.table("employee"), "zip", "zip", "cities", "employee"
+        )
+        conditions = [
+            Condition(ColumnRef("zip", "cities"), ">", 9001),
+            Condition(ColumnRef("zip", "employee"), "<", 10001),
+        ]
+        kept_any = dropped_any = False
+        for connector in (Connector.AND, Connector.OR):
+            bound = Executor._bound_filter(joined, conditions, connector, True)
+            for row in joined.rows:
+                want = Executor._row_satisfies(row, joined, conditions, connector, True)
+                assert bound(row) == want
+                kept_any, dropped_any = kept_any or want, dropped_any or not want
+        assert kept_any and dropped_any
+        unqualified = [Condition(ColumnRef("zip"), ">=", 9002)]
+        cities = engine.table("cities")
+        bound = Executor._bound_filter(cities, unqualified, Connector.AND, False)
+        assert [bound(r) for r in cities.rows] == [
+            Executor._row_satisfies(r, cities, unqualified, Connector.AND, False)
+            for r in cities.rows
+        ]
+        assert Executor._bound_filter(cities, [], Connector.AND, False)(cities.rows[0])
 
     def test_join_without_rules_plain(self):
         d = Daisy()

@@ -76,6 +76,18 @@ class TestRelationLevelParity:
         columnar = rel.group_by(["g"], AGGS, view=rel.column_view(), tids=tids)
         assert_same_relation(columnar, rowstore)
 
+    @pytest.mark.parametrize("make_rel", [sample_rel, rel_with_nulls_and_pvalues])
+    @pytest.mark.parametrize("tids", [None, {0, 2, 4}, set()])
+    def test_no_keys_is_one_group_of_every_row(self, make_rel, tids):
+        rowstore = make_rel().group_by([], AGGS, tids=tids)
+        rel = make_rel()
+        columnar = rel.group_by([], AGGS, view=rel.column_view(), tids=tids)
+        assert_same_relation(columnar, rowstore)
+        empty = rel.empty_like()
+        assert_same_relation(
+            empty.group_by([], AGGS, view=empty.column_view()), empty.group_by([], AGGS)
+        )
+
     def test_group_order_is_first_occurrence_of_restriction(self):
         rel = sample_rel()
         # Restricted to rows where group 2 appears before group 1.
@@ -144,3 +156,25 @@ class TestEndToEndBackendParity:
         columnar = results["columnar"]
         assert rowstore.schema.names == columnar.schema.names
         assert rowstore.to_plain_rows() == columnar.to_plain_rows()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT COUNT(*) AS n FROM t", [(3,)]),
+        ("SELECT SUM(b) AS s FROM t", [(60.0,)]),
+        ("SELECT COUNT(*) AS n, MAX(b) AS m FROM t WHERE a >= 2", [(2, 30.0)]),
+        ("SELECT COUNT(*) AS n FROM t WHERE a > 9", []),
+    ])
+    def test_aggregate_without_group_by(self, backend, sql, expected):
+        # Regression: the default backend's lexsort grouping raised
+        # "need sequence of keys with len > 0" for an empty key tuple.
+        d = Daisy(config=DaisyConfig(backend=backend))
+        d.register_table(
+            "t",
+            Relation.from_rows(
+                [("a", ColumnType.INT), ("b", ColumnType.INT)],
+                [(1, 10), (2, 20), (3, 30)],
+                name="t",
+            ),
+        )
+        with d.connect() as session:
+            assert session.execute(sql).rows() == expected

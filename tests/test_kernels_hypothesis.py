@@ -13,6 +13,8 @@ job must stay green without either).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from repro.engine.stats import WorkCounter
 from repro.probabilistic.value import Candidate, PValue, ValueRange, cell_compare
 from repro.relation import ColumnType, Relation
-from repro.relation.columnview import ColumnView
+from repro.relation.columnview import ColumnView, PValueBoundsSidecar
 from repro.relation.kernels import COLUMN_NUMPY, HAVE_NUMPY
 
 from test_kernels import OPS, check_every_cell, residual_dc
@@ -220,3 +222,129 @@ def test_residual_verification_matches_per_pair_loop(rows, op, sqrt_p):
     assert check_every_cell(rows, dc, sqrt_p, COLUMN_NUMPY) == check_every_cell(
         rows, dc, sqrt_p, "python"
     )
+
+
+# -- range selection over probabilistic cells: the sorted bounds sidecar ------------------
+
+NAN = float("nan")
+RANGE_OPS = ["<", "<=", ">", ">="]
+
+small_int = st.integers(-6, 6)
+small_float = st.sampled_from([-6.5, -2.25, -0.0, 0.5, 1.0, 3.75, 6.5, float("inf")])
+small_str = st.sampled_from(["", "a", "b", "é"])
+
+
+def _range(a, b):
+    if a is not None and b is not None and a > b:  # NaN ends compare False: kept
+        a, b = b, a
+    return ValueRange(low=a, high=b)
+
+
+def _pvalue(values):
+    return PValue(
+        Candidate(v, 1.0 / len(values), world=i) for i, v in enumerate(values)
+    )
+
+
+range_end = st.sampled_from([None, -6.5, -2.25, -0.0, 0.5, 1.0, 3.75, 6.5, float("inf")])
+numeric_point = st.one_of(small_int, small_float)
+numeric_pvalue = st.lists(
+    st.one_of(
+        small_int, small_float, st.builds(_range, range_end, range_end),
+        st.sampled_from([None, True]),
+    ),
+    min_size=1, max_size=3,
+).map(_pvalue)
+nan_pvalue = st.one_of(  # a NaN point or a NaN range end: no usable bound
+    st.lists(numeric_point, max_size=2).map(lambda vs: _pvalue([NAN, *vs])),
+    st.builds(_range, st.just(NAN), range_end).map(lambda rng: _pvalue([rng, 1])),
+)
+string_pvalue = st.lists(small_str, min_size=1, max_size=3).map(_pvalue)
+mixed_pvalue = st.tuples(small_str, numeric_point).map(_pvalue)
+
+numeric_cell = st.one_of(
+    st.none(), numeric_point, st.just(NAN), numeric_pvalue, numeric_pvalue, nan_pvalue
+)
+string_cell = st.one_of(st.none(), small_str, string_pvalue)
+any_cell = st.one_of(numeric_cell, string_cell, mixed_pvalue)
+prob_column = st.one_of(
+    st.lists(numeric_cell, max_size=40),
+    # long enough for a one-cell patch to slot into the sorted bounds
+    st.lists(numeric_pvalue, min_size=24, max_size=40),
+    st.lists(string_cell, max_size=40),
+    st.lists(any_cell, max_size=40),
+)
+patch_cell = st.one_of(
+    numeric_pvalue, numeric_pvalue, numeric_pvalue, numeric_point, numeric_cell, any_cell
+)
+probe_value = st.one_of(
+    small_int, small_float, numeric_point, numeric_point,
+    st.just(NAN), small_str, st.none(),
+    st.just(Fraction(1, 2)),  # orders against numbers, but is no int/float/str
+)
+
+
+def _sidecar_state(view: ColumnView):
+    sidecar = view.derived(
+        ("pv_bounds", "k"), ("k",), lambda: PValueBoundsSidecar.of_view(view, "k")
+    )
+    orders = sidecar.orders and [(repr(o.values), o.positions) for o in sidecar.orders]
+    return repr(sorted(sidecar.bounds.items())), orders, sorted(sidecar.loose)
+
+
+def _assert_range_filters_exact(views, probes) -> None:
+    """Every view answers every inequality like the per-cell oracle and
+    charges the same scans: concrete matches plus every probabilistic cell
+    when the sorted index serves the probe, the whole column otherwise."""
+    column = views[0].columns["k"]
+    pvals = views[0].pvalue_positions("k")
+    for probe in probes:
+        for op in RANGE_OPS:
+            oracle = {
+                pos for pos, cell in enumerate(column) if cell_compare(cell, op, probe)
+            }
+            for view in views:
+                counter = WorkCounter()
+                assert view.filter_positions("k", op, probe, counter) == oracle
+                served = probe is not None and view.sorted_column("k") is not None
+                assert counter.tuples_scanned == (
+                    len(oracle - pvals) + len(pvals) if served else len(column)
+                )
+
+
+@SETTINGS
+@given(column=prob_column, data=st.data())
+def test_range_filters_over_probabilistic_cells_match_cell_compare(column, data):
+    """``filter_positions`` over NULLs, NaNs, strings and PValues with point
+    and range candidates equals ``cell_compare`` per cell — cold, and along a
+    chain of small (slotted) and large (re-sorted) patches, whose maintained
+    bounds sidecar equals a cold-built one — under both column backends."""
+    rel = Relation.from_rows(
+        [("k", ColumnType.INT)], [(cell,) for cell in column], name="t", validate=False
+    )
+    rel_py, rel_np = rel, Relation(rel.schema, rel.rows, name="t")
+    rel_np.column_view().column_backend = COLUMN_NUMPY
+    probes = data.draw(st.lists(probe_value, min_size=1, max_size=3))
+    _assert_range_filters_exact([rel_py.column_view(), rel_np.column_view()], probes)
+
+    n = len(column)
+    for _ in range(data.draw(st.integers(0, 4)) if n else 0):
+        # Build the sidecars first so the patch maintains them.
+        for view in (rel_py.column_view(), rel_np.column_view()):
+            _sidecar_state(view)
+        tids = data.draw(
+            st.lists(
+                st.integers(0, n - 1), min_size=1,
+                max_size=data.draw(st.sampled_from([1, 2, n])), unique=True,
+            )
+        )
+        batch = {(tid, "k"): data.draw(patch_cell) for tid in tids}
+        rel_py, rel_np = rel_py.update_cells(batch), rel_np.update_cells(batch)
+        cold_py = ColumnView.from_relation(rel_py)
+        cold_np = ColumnView.from_relation(rel_np)
+        cold_np.column_backend = COLUMN_NUMPY
+        views = [rel_py.column_view(), rel_np.column_view(), cold_py, cold_np]
+        assert views[1].column_backend == COLUMN_NUMPY
+        states = [_sidecar_state(view) for view in views]
+        assert all(state == states[0] for state in states)
+        _assert_range_filters_exact(views, probes)

@@ -54,6 +54,26 @@ class TestProjectRename:
         assert [r.tid for r in proj] == [0, 1, 2, 3]
         assert proj.schema.names == ("v",)
 
+    def test_identity_projection_shares_rows(self, rel):
+        proj = rel.project(["k", "v"])
+        assert proj.schema == rel.schema and proj is not rel
+        assert all(mine is theirs for mine, theirs in zip(proj.rows, rel.rows))
+
+    @pytest.mark.parametrize(
+        "attrs", [["v"], ["b"], ["v", "k"], ["k", "b"], ["b", "v", "k"], []]
+    )
+    def test_projection_equals_tuple_building_oracle(self, attrs):
+        wide = Relation.from_rows(
+            [("k", ColumnType.INT), ("v", ColumnType.STRING), ("b", ColumnType.INT)],
+            [(1, "a", 10), (2, "b", 20), (2, "c", 30)],
+        )
+        indices = [wide.schema.index_of(a) for a in attrs]
+        oracle = [Row(r.tid, tuple(r.values[i] for i in indices)) for r in wide]
+        proj = wide.project(attrs)
+        assert proj.rows == oracle
+        assert all(type(r.values) is tuple for r in proj)
+        assert proj.schema.names == tuple(attrs)
+
     def test_rename(self, rel):
         assert rel.rename({"k": "key"}).schema.names == ("key", "v")
 
@@ -73,6 +93,64 @@ class TestSetOps:
     def test_restrict_and_minus(self, rel):
         assert rel.restrict_tids({0, 2}).tids() == {0, 2}
         assert rel.minus_tids({0, 2}).tids() == {1, 3}
+
+
+class TestRestrictTids:
+    """The positional path (cached view, answer under half the table) and the
+    scan return the same rows in the same order."""
+
+    @staticmethod
+    def _big(n=12):
+        return Relation.from_rows(
+            [("k", ColumnType.INT), ("v", ColumnType.INT)],
+            [(i % 4, i) for i in range(n)],
+            name="t",
+        )
+
+    @staticmethod
+    def _scan(relation, tids):
+        return [r for r in relation.rows if r.tid in tids]
+
+    def test_keeps_row_order_and_shares_rows(self):
+        rel = self._big()
+        rel.column_view()
+        picked = rel.restrict_tids({9, 1, 4})
+        assert [r.tid for r in picked] == [1, 4, 9]
+        assert all(a is b for a, b in zip(picked.rows, self._scan(rel, {1, 4, 9})))
+
+    def test_ignores_absent_tids(self):
+        rel = self._big()
+        rel.column_view()
+        assert [r.tid for r in rel.restrict_tids({3, 99, -1})] == [3]
+        assert len(rel.restrict_tids(set())) == 0
+
+    def test_large_answers_scan(self):
+        rel = self._big()
+        rel.column_view()
+        tids = set(range(0, 12, 2)) | {1, 99}
+        assert rel.restrict_tids(tids).rows == self._scan(rel, tids)
+
+    def test_follows_update_cells_and_apply_delta(self):
+        rel = self._big()
+        rel.column_view()
+        rel = rel.update_cells({(4, "v"): 400})
+        rel = rel.apply_delta({9: Row(9, (1, 900))})
+        assert rel._colview is not None  # the patched view came along
+        picked = rel.restrict_tids({9, 4, 2})
+        assert [r.values for r in picked] == [(2, 2), (0, 400), (1, 900)]
+        assert picked.rows == self._scan(rel, {9, 4, 2})
+
+    def test_relation_without_a_view_scans(self):
+        rel = self._big()
+        picked = rel.restrict_tids({7, 2})
+        assert [r.tid for r in picked] == [2, 7]
+        assert rel._colview is None  # and did not build one to answer
+
+    def test_repeated_tids_scan(self):
+        rel = self._big(4)
+        doubled = rel.union(rel).union(rel)
+        doubled.column_view()
+        assert [r.tid for r in doubled.restrict_tids({2})] == [2, 2, 2]
 
 
 class TestJoin:

@@ -720,6 +720,41 @@ class TestHttpServer:
             status, _payload = _http(service, "GET", "/v1/nothing")
         assert status == 404
 
+    @pytest.mark.parametrize("content_length", ["abc", "-5", ""])
+    def test_bad_content_length_is_400_and_server_keeps_serving(self, content_length):
+        # Regression: an unguarded int() answered 500 (or read the wrong
+        # number of bytes) for a Content-Length that is not a count.
+        async def exchange(host: str, port: int, head: str) -> tuple[int, bytes]:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(head.encode())
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            head_bytes, _, payload = raw.partition(b"\r\n\r\n")
+            return int(head_bytes.split(b" ", 2)[1]), payload
+
+        async def go() -> list[tuple[int, bytes]]:
+            server = ServiceServer(service)
+            host, port = await server.start()
+            try:
+                bad = (
+                    "POST /v1/requests HTTP/1.1\r\n"
+                    f"Content-Length: {content_length}\r\n\r\n"
+                )
+                return [
+                    await exchange(host, port, bad),
+                    await exchange(host, port, "GET /v1/status HTTP/1.1\r\n\r\n"),
+                ]
+            finally:
+                await server.stop()
+
+        service = DaisyService(make_engine())
+        with service:
+            (status, payload), (next_status, _) = asyncio.run(go())
+        assert status == 400
+        assert "Content-Length" in json.loads(payload)["error"]
+        assert next_status == 200
+
     def test_shed_request_is_429(self):
         engine = make_engine()
         service = DaisyService(engine, policy=ServicePolicy(budget_units=5.0))
