@@ -191,20 +191,14 @@ def run_daisy_batch(
     label: str = "Daisy (batched)",
     dc_error_threshold: float = 0.2,
     backend: str = BACKEND_COLUMNAR,
-    batch_strategy: str = "shared",
 ) -> RunResult:
-    """Execute a workload through ``Session.execute_batch``.
-
-    ``batch_strategy="sequential"`` runs the same entry point with sharing
-    disabled (the A/B control: sequential semantics through the batch API).
-    """
+    """Execute a workload through ``Session.execute_batch``."""
     daisy = _make_daisy(
         relation, rules, table,
         DaisyConfig(
             use_cost_model=False,
             dc_error_threshold=dc_error_threshold,
             backend=backend,
-            batch_strategy=batch_strategy,
         ),
     )
     with daisy.connect() as session:

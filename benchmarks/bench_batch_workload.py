@@ -2,16 +2,15 @@
 
 The fig07-style setup — lineorder with the orderkey → suppkey FD and a
 random-selectivity workload whose non-overlapping ranges cover the whole
-orderkey domain — runs three ways:
+orderkey domain — runs two ways:
 
-* sequential ``Session.execute_workload`` (one cleaning pass per query),
-* ``Session.execute_batch`` with rule sharing disabled (the A/B control:
-  the same entry point, sequential semantics),
-* ``Session.execute_batch`` with rule sharing (one shared relaxation /
-  detection pass for the whole rule group).
+* sequential: ``Session.execute_workload``, a loop of ``Session.execute``
+  (one cleaning pass per query),
+* ``Session.execute_batch`` (one shared relaxation / detection pass for
+  the whole rule group).
 
 Expected shape: the batched run performs strictly fewer work units than
-either sequential variant while returning byte-identical query results, and
+the sequential loop while returning byte-identical query results, and
 ``BENCH_batch_workload.json`` records the speedup the CI smoke job tracks.
 """
 
@@ -52,24 +51,19 @@ def _run_all():
         dirty, [fd], queries, use_cost_model=False, label="Daisy sequential"
     )
     dirty2, fd2, queries2 = _setup()
-    unshared = run_daisy_batch(
-        dirty2, [fd2], queries2, batch_strategy="sequential",
-        label="Daisy batch (no sharing)",
-    )
-    dirty3, fd3, queries3 = _setup()
     batched = run_daisy_batch(
-        dirty3, [fd3], queries3, label="Daisy batch (rule sharing)"
+        dirty2, [fd2], queries2, label="Daisy batch (rule sharing)"
     )
-    return sequential, unshared, batched
+    return sequential, batched
 
 
 def test_batch_workload(benchmark):
-    sequential, unshared, batched = benchmark.pedantic(
+    sequential, batched = benchmark.pedantic(
         _run_all, rounds=1, iterations=1
     )
     print_series(
         "Batched vs sequential workload (fig07-style)",
-        [sequential, unshared, batched],
+        [sequential, batched],
     )
     record_benchmark(
         "batch_workload",
@@ -83,10 +77,6 @@ def test_batch_workload(benchmark):
             "sequential": {
                 "seconds": sequential.seconds,
                 "work_units": sequential.work_units,
-            },
-            "batch_no_sharing": {
-                "seconds": unshared.seconds,
-                "work_units": unshared.work_units,
             },
             "batch_shared": {
                 "seconds": batched.seconds,
@@ -108,7 +98,6 @@ def test_batch_workload(benchmark):
         # The shared pass must do strictly less detection work than
         # per-query cleaning…
         assert batched.work_units < sequential.work_units
-        assert batched.work_units < unshared.work_units
         # …and wall-clock must not regress materially.
         assert batched.seconds <= sequential.seconds * 1.25
 

@@ -9,7 +9,7 @@ not match pytest's default collection pattern, so they are passed
 explicitly).  Modules that honor ``REPRO_BENCH_SCALE`` (fig05, fig09,
 pushdown) shrink with ``--scale``; the rest run at their built-in laptop
 scale.  Per-module outcome, duration, and peak RSS (the child's own
-``resource.getrusage`` high-water mark, fork-pool workers included), plus
+``resource.getrusage`` high-water mark), plus
 any ``BENCH_<name>.json`` payloads the modules recorded, are merged into
 one ``BENCH_PR.json`` at the repo root — the perf-trajectory file that
 accumulates across PRs.  Peak RSS is what makes the storage modes
@@ -30,8 +30,8 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
 
-#: Marker line the child shim prints after pytest finishes.  ru_maxrss is
-#: KiB on Linux; the max over SELF and CHILDREN covers fork-pool workers.
+#: Marker line the child shim prints after pytest finishes (ru_maxrss is
+#: KiB on Linux).
 _RSS_MARKER = "RUN_ALL_MAXRSS_KB="
 
 _CHILD_SHIM = """\
@@ -40,10 +40,7 @@ import pytest
 rc = pytest.main(sys.argv[1:])
 try:
     import resource
-    peak = max(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-    )
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print("{marker}%d" % peak, flush=True)
 except ImportError:
     pass

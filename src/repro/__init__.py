@@ -14,12 +14,6 @@ Public API highlights:
   parser (``parse_rule("zip -> city")``).
 * :mod:`repro.relation` — the relational substrate (schemas, relations,
   CSV i/o).
-* :mod:`repro.parallel` — sharded parallel execution: executor pools
-  (serial/thread/process), row-range relation shards with per-shard column
-  views, and the session-owned :class:`repro.ParallelContext`
-  (``DaisyConfig(parallelism=N)``, or ``parallelism="auto"`` to let the
-  :class:`repro.core.AdaptivePlanner` price pool/worker/shard shapes per
-  pass); parallel runs are byte-identical to serial.
 * :mod:`repro.baselines` — the offline full-dataset cleaner and the
   HoloClean-like inference baseline.
 * :mod:`repro.datasets` — synthetic SSB / hospital / Nestlé / air-quality
@@ -54,7 +48,6 @@ from repro.api import (
 )
 from repro.daisy import Daisy
 from repro.errors import ReproError
-from repro.parallel import ExecutorPool, ParallelContext, ShardSet, make_pool
 
 __version__ = "1.3.0"
 
@@ -62,15 +55,11 @@ __all__ = [
     "BatchResult",
     "Daisy",
     "DaisyConfig",
-    "ExecutorPool",
-    "ParallelContext",
     "PreparedQuery",
     "QueryLogEntry",
     "ReproError",
     "RuleGroupReport",
     "Session",
-    "ShardSet",
     "WorkloadReport",
     "__version__",
-    "make_pool",
 ]

@@ -122,8 +122,7 @@ def shared_engine_state(cls: type[_T]) -> type[_T]:
     The class should carry a ``MUTATED_UNDER`` table naming, per mutable
     attribute, the functions allowed to mutate it.  daisylint DL101 flags
     mutations outside those seams statically; the race witness flags them
-    dynamically (and exempts fork-process children, whose copy-on-write
-    state is private by construction).
+    dynamically.
     """
     return _register(cls, SHARED_ENGINE_STATE)  # type: ignore[return-value]
 

@@ -29,26 +29,14 @@ Typical usage::
 """
 
 from repro.api.batch import BatchResult, RuleGroupReport
-from repro.api.config import (
-    BATCH_AUTO,
-    BATCH_SEQUENTIAL,
-    BATCH_SHARED,
-    BATCH_STRATEGIES,
-    PARALLELISM_AUTO,
-    DaisyConfig,
-)
+from repro.api.config import DaisyConfig
 from repro.api.prepared import PreparedQuery
 from repro.api.reporting import QueryLogEntry, WorkloadReport
 from repro.api.session import Session
 
 __all__ = [
-    "BATCH_AUTO",
-    "BATCH_SEQUENTIAL",
-    "BATCH_SHARED",
-    "BATCH_STRATEGIES",
     "BatchResult",
     "DaisyConfig",
-    "PARALLELISM_AUTO",
     "PreparedQuery",
     "QueryLogEntry",
     "RuleGroupReport",

@@ -5,14 +5,12 @@ of the public API layer because sessions, prepared queries, and batches all
 produce them.  ``repro.daisy`` re-exports both names for backward
 compatibility.
 
-Workload-level reports also carry the **adaptive decision audit trail**:
-every choice the session's :class:`~repro.core.AdaptivePlanner` took while
-the workload ran — strategy switches, per-pass pool/worker/shard
-selections, per-rule-group batch arbitration — lands in
+Workload-level reports also carry the **decision audit trail**: every
+Section 5.2.3 strategy-switch verdict the session's
+:class:`~repro.core.AdaptivePlanner` took while the workload ran lands in
 :attr:`WorkloadReport.decisions` as
 :class:`~repro.core.costmodel.PassDecision` records (choice, the modeled
-cost of every alternative, and the observed work units once the pass ran),
-so benchmarks can audit the model against forced-choice runs.
+cost of both alternatives, and the observed work units of a full clean).
 """
 
 from __future__ import annotations
@@ -63,6 +61,5 @@ class WorkloadReport:
         return out
 
     def decisions_of_kind(self, kind: str) -> list[PassDecision]:
-        """The recorded decisions of one family (``"pool"``,
-        ``"batch_strategy"``, ``"strategy_switch"``)."""
+        """The recorded decisions of one family (``"strategy_switch"``)."""
         return [d for d in self.decisions if d.kind == kind]

@@ -31,7 +31,6 @@ from repro.core.costmodel import (
     CostModel,
     CostModelConfig,
     QueryObservation,
-    available_cpus,
 )
 from repro.core.operators import CleanReport, clean_full_table
 from repro._ownership import session_owned
@@ -39,8 +38,6 @@ from repro.core.state import TableState
 from repro.engine.stats import WorkCounter
 from repro.errors import PlanError, SessionError
 from repro.metrics.timing import clock
-from repro.parallel.clean import ParallelContext
-from repro.parallel.pool import fork_available
 from repro.query.ast import Parameter, Query, sql_for_log
 from repro.query.executor import Executor, QueryResult
 from repro.query.logical import CleanJoinNode, CleanSigmaNode, PlanNode, plan_contains
@@ -107,24 +104,15 @@ def _plan_structure_key(query: Query) -> tuple[Any, ...]:
 class Session:
     """One workload's execution context over a shared engine.
 
-    Usable as a context manager; :meth:`close` marks the session closed and
-    releases the session's executor pool (the engine and its table states
-    outlive every session).
+    Usable as a context manager; :meth:`close` marks the session closed
+    (the engine and its table states outlive every session).
 
-    The session also owns three workload-scoped accelerators:
+    The session also owns two workload-scoped accelerators:
 
     * the **adaptive planner** (:attr:`planner`, a
-      :class:`~repro.core.AdaptivePlanner`): the unified cost model that
-      prices the strategy switch, per-pass pool/worker/shard shapes
-      (``parallelism="auto"``), and per-rule-group batch arbitration
-      (``batch_strategy="auto"``) from table statistics plus calibrated
-      observed work; every decision is recorded and surfaced on workload
-      reports.  Invariant: whatever the planner picks is byte-identical to
-      the forced-choice oracle in violations, repairs, and merged work
-      units — adaptivity moves wall-clock time only;
-    * the **parallel context** (``config.parallelism > 1`` or ``"auto"``):
-      executor pools plus per-table shard routers, created lazily and
-      closed with the session — see :mod:`repro.parallel`;
+      :class:`~repro.core.AdaptivePlanner`): it prices the Section 5.2.3
+      strategy switch from table statistics plus observed work, and every
+      verdict is recorded and surfaced on workload reports;
     * the **cross-query plan cache**: ad-hoc :meth:`execute` calls reuse
       the logical plan of any earlier same-structure query (constants
       erased), giving them :meth:`prepare`'s skip-replanning benefit;
@@ -140,36 +128,12 @@ class Session:
         self.cost_models: dict[str, CostModel | None] = {}
         #: (registration version, data version) each cost model was built at.
         self._cost_model_versions: dict[str, tuple[int, int]] = {}
-        #: The unified adaptive cost model: prices strategy switches, pool
-        #: shapes, and batch arbitration, and records every decision.
-        self.planner = AdaptivePlanner(
-            max_workers=(
-                self.config.auto_max_workers or available_cpus()
-                if self.config.adaptive_parallelism
-                else 0
-            ),
-            process_pool_available=fork_available(),
-        )
-        self._parallel: ParallelContext | None = None
-        if self.config.adaptive_parallelism:
-            self._parallel = ParallelContext(
-                self.config.pool,
-                self.planner.max_workers,
-                self.config.num_shards,
-                planner=self.planner,
-                adaptive=True,
-            )
-        elif self.config.parallelism > 1:
-            self._parallel = ParallelContext(
-                self.config.pool,
-                self.config.parallelism,
-                self.config.num_shards,
-            )
+        #: Prices the strategy switch and records every verdict.
+        self.planner = AdaptivePlanner()
         self._executor = Executor(
             self.states,
             self.catalog,
             dc_error_threshold=self.config.dc_error_threshold,
-            parallel=self._parallel,
         )
         self._plain_executor = Executor(
             self.states,
@@ -192,16 +156,14 @@ class Session:
         return False
 
     def close(self) -> None:
-        """Mark the session closed and release its executor pool.
+        """Mark the session closed and release its storage OS handles.
 
-        Also releases every storage OS handle (SQLite connections; stripe
-        reads are already transient) — the engine reopens them lazily if
+        The handles are SQLite connections (stripe reads are already
+        transient); the engine reopens them lazily if
         another session connects, and ``Daisy.close()`` deletes the spill
         files themselves.  Further execution raises SessionError; closing
         twice is a no-op.
         """
-        if self._parallel is not None:
-            self._parallel.close()
         self._engine.storage_manager.release_handles()
         self._closed = True
 
@@ -212,11 +174,6 @@ class Session:
     @property
     def engine(self) -> "Daisy":
         return self._engine
-
-    @property
-    def parallel(self) -> ParallelContext | None:
-        """The session's parallel context (None when ``parallelism == 1``)."""
-        return self._parallel
 
     def _check_open(self) -> None:
         if self._closed:
@@ -410,7 +367,7 @@ class Session:
                     if decision is not None and decision.choice == "full_clean_now":
                         started = clock()
                         clean_before = state.counter.total()
-                        clean_full_table(state, pending, parallel=self._parallel)
+                        clean_full_table(state, pending)
                         self.planner.observe(
                             decision, state.counter.total() - clean_before
                         )
@@ -474,7 +431,7 @@ class Session:
     ) -> CleanReport:
         """Clean a whole table now (bypass the query-driven path)."""
         self._check_open()
-        return clean_full_table(self._state(table), rules, parallel=self._parallel)
+        return clean_full_table(self._state(table), rules)
 
     # -- snapshot-pinned reads (service tier) -------------------------------------------
 

@@ -22,9 +22,7 @@ from repro.core.costmodel import (
     CostModel,
     CostModelConfig,
     PassDecision,
-    PoolPlan,
     QueryObservation,
-    available_cpus,
     incremental_query_cost,
     offline_cost,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "AdaptivePlanner",
     "CostCalibration",
     "PassDecision",
-    "PoolPlan",
-    "available_cpus",
     "offline_cost",
     "incremental_query_cost",
     "FdStatistics",

@@ -23,9 +23,7 @@ from repro.constraints.dc import DenialConstraint, FunctionalDependency, Rule, a
 from repro.core.relaxation import relax_fd
 from repro.core.statistics import FdStatistics
 from repro.core.state import TableState, rule_key
-from repro.engine.stats import WorkCounter
 from repro.detection.estimator import decide_cleaning
-from repro.parallel.clean import ParallelContext, parallel_relax_fd
 from repro.probabilistic.lineage import JoinResult, incremental_join_update
 from repro.repair.dc_repair import compute_dc_fixes
 from repro.repair.fd_repair import apply_fd_delta, compute_fd_fixes
@@ -67,7 +65,6 @@ def clean_sigma(
     projection: Iterable[str] = (),
     dc_error_threshold: float = 0.2,
     force_rules: Iterable[Rule] | None = None,
-    parallel: ParallelContext | None = None,
 ) -> CleanReport:
     """Clean an SP query result in place.
 
@@ -75,12 +72,6 @@ def clean_sigma(
     feed the rule-overlap test (rules not accessed by the query are
     skipped).  ``force_rules`` bypasses the overlap test (used by
     ``clean_join`` and by full-table cleanup).
-
-    ``parallel`` (a :class:`~repro.parallel.clean.ParallelContext`) shards
-    FD relaxation closures by tid range and fans DC matrix cells out over
-    the context's executor pool; results and work-unit totals are
-    byte-identical to the serial run (``parallel=None``), which remains the
-    default and the semantics oracle.
 
     The operator mutates ``state.relation`` (applying the repair delta) and
     the provenance store, and returns a :class:`CleanReport`.
@@ -101,9 +92,7 @@ def clean_sigma(
             continue
         fd = as_fd(rule)
         if fd is not None:
-            sub_report, delta, repaired = _clean_sigma_fd(
-                state, answer, fd, where_set, parallel=parallel
-            )
+            sub_report, delta, repaired = _clean_sigma_fd(state, answer, fd, where_set)
             report.merge(sub_report)
             if repaired:
                 fd_marks.append((rule_key(rule), repaired))
@@ -111,9 +100,7 @@ def clean_sigma(
                 deltas.append(delta)
         else:
             dc = as_dc(rule)
-            sub_report, delta = _clean_sigma_dc(
-                state, answer, dc, dc_error_threshold, parallel=parallel
-            )
+            sub_report, delta = _clean_sigma_dc(state, answer, dc, dc_error_threshold)
             report.merge(sub_report)
             if delta:
                 deltas.append(delta)
@@ -135,7 +122,6 @@ def fd_scope_needs_cleaning(
     state: TableState,
     answer: set[int],
     fd: FunctionalDependency,
-    counter: WorkCounter | None = None,
 ) -> bool:
     """Statistics pruning (Fig. 9) as a standalone test.
 
@@ -144,13 +130,8 @@ def fd_scope_needs_cleaning(
     statistics exist for the rule (then cleaning must look).  Shared by
     :func:`clean_sigma`'s FD path and by the batch executor, which prunes
     whole member queries out of a rule group's shared pass with it.
-
-    ``counter`` overrides the table counter the test charges — the batch
-    planner's *decision phase* passes a throwaway counter so pricing a rule
-    group never perturbs the work-unit totals the forced-choice oracles
-    charge (estimation is model overhead, not cleaning work).
     """
-    counter = counter if counter is not None else state.counter
+    counter = state.counter
     stats = state.statistics.get(rule_key(fd)) or state.statistics.get(fd.name or str(fd))
     if stats is None:
         return True
@@ -193,7 +174,7 @@ def fd_scope_needs_cleaning(
     # rhs-filtered queries may relax into dirty groups via rhs values, so
     # only prune when the rule has no dirty group at all overlapping the
     # answer AND the answer's rhs values don't appear in dirty groups.
-    return dirty_hit or _rhs_touches_dirty(state, answer, fd, stats, counter)
+    return dirty_hit or _rhs_touches_dirty(state, answer, fd, stats)
 
 
 def _clean_sigma_fd(
@@ -201,15 +182,8 @@ def _clean_sigma_fd(
     answer: set[int],
     fd: FunctionalDependency,
     where_attrs: set[str],
-    parallel: ParallelContext | None = None,
 ) -> tuple[CleanReport, RepairDelta | None, set[int]]:
-    """FD path: relaxation + group detection/repair with statistics pruning.
-
-    With an enabled ``parallel`` context and a columnar view, the relaxation
-    closure runs sharded (:func:`~repro.parallel.clean.parallel_relax_fd`);
-    everything downstream — grouping, fix computation, accounting — is the
-    serial code over the identical merged scope.
-    """
+    """FD path: relaxation + group detection/repair with statistics pruning."""
     report = CleanReport()
     view = state.column_view()
 
@@ -224,19 +198,10 @@ def _clean_sigma_fd(
         # general behaviour is the transitive closure.
         side = FilterSide.LHS
     seen = state.seen_for(fd)
-    plan = None
-    work_before = state.counter.total()
-    if parallel is not None and view is not None:
-        plan = parallel.plan_fd_relax(state, len(answer))
-    if plan is not None and plan.parallel:
-        relaxation = parallel_relax_fd(
-            state, answer, fd, side, view, parallel, plan=plan
-        )
-    else:
-        relaxation = relax_fd(
-            state.relation, answer, fd, filter_side=side, counter=state.counter,
-            skip_tids=seen, view=view,
-        )
+    relaxation = relax_fd(
+        state.relation, answer, fd, filter_side=side, counter=state.counter,
+        skip_tids=seen, view=view,
+    )
     report.extra_tuples += len(relaxation.extra_tids)
     report.relaxation_iterations += relaxation.iterations
     scope = relaxation.relaxed_tids(answer)
@@ -255,10 +220,6 @@ def _clean_sigma_fd(
         view=view,
     )
     report.detection_cost += len(scope) + len(relaxation.consult_tids)
-    if plan is not None and parallel is not None:
-        # Feed the whole FD pass's observed work (relaxation + detection)
-        # back into the fd_relax calibration bucket.
-        parallel.observe(plan.decision, state.counter.total() - work_before)
     return report, delta, repaired
 
 
@@ -267,12 +228,11 @@ def _rhs_touches_dirty(
     answer: set[int],
     fd: FunctionalDependency,
     stats: FdStatistics,
-    counter: WorkCounter | None = None,
 ) -> bool:
     """Do any of the answer's rhs values co-occur with a dirty lhs group?"""
     from repro.probabilistic.value import PValue
 
-    counter = counter if counter is not None else state.counter
+    counter = state.counter
 
     dirty_rhs = stats.dirty_rhs_values
     view = state.column_view()
@@ -309,14 +269,8 @@ def _clean_sigma_dc(
     answer: set[int],
     dc: DenialConstraint,
     threshold: float,
-    parallel: ParallelContext | None = None,
 ) -> tuple[CleanReport, RepairDelta | None]:
-    """General-DC path: partial theta-join + Algorithm 2 + holistic repair.
-
-    The matrix's candidate cells fan out over the parallel context's pool
-    when one is enabled; cell results merge in cell order, so violations
-    and work units match the serial check exactly.
-    """
+    """General-DC path: partial theta-join + Algorithm 2 + holistic repair."""
     report = CleanReport()
     matrix = state.matrix_for(dc)
 
@@ -324,23 +278,11 @@ def _clean_sigma_dc(
         matrix, sorted(answer), state.relation, threshold=threshold,
         counter=state.counter,
     )
-    # Resolve the candidate cells first so the (free) pair-count estimate
-    # can price the pool choice: full-matrix-scale checks escalate to the
-    # process pool, small partial checks stay serial under "auto".
     if decision.full_cleaning:
         cells = matrix.candidate_cells()
     else:
         cells = matrix.candidate_cells(answer)
-    plan = (
-        parallel.plan_dc_check(matrix, cells, state.relation.name or "")
-        if parallel is not None
-        else None
-    )
-    pool = plan.pool if plan is not None else None
-    work_before = state.counter.total()
-    violations = matrix.check_cells(cells, pool=pool)
-    if plan is not None and parallel is not None:
-        parallel.observe(plan.decision, state.counter.total() - work_before)
+    violations = matrix.check_cells(cells)
     if decision.full_cleaning:
         report.used_full_matrix = True
         state.mark_fully_cleaned(dc)
@@ -361,7 +303,6 @@ def _clean_sigma_dc(
 def clean_full_table(
     state: TableState,
     rules: Iterable[Rule] | None = None,
-    parallel: ParallelContext | None = None,
 ) -> CleanReport:
     """Clean the whole table for the given rules (the strategy-switch path).
 
@@ -370,7 +311,7 @@ def clean_full_table(
     """
     all_tids = state.relation.tids()
     rules = list(rules) if rules is not None else list(state.rules)
-    report = clean_sigma(state, all_tids, force_rules=rules, parallel=parallel)
+    report = clean_sigma(state, all_tids, force_rules=rules)
     for rule in rules:
         state.mark_fully_cleaned(rule)
     return report
@@ -385,7 +326,6 @@ def clean_join(
     dc_error_threshold: float = 0.2,
     left_filter: Callable[["Row"], bool] | None = None,
     right_filter: Callable[["Row"], bool] | None = None,
-    parallel: ParallelContext | None = None,
 ) -> tuple[JoinResult, CleanReport]:
     """Clean a join result (Definition 3).
 
@@ -419,14 +359,12 @@ def clean_join(
         left_tids,
         force_rules=left_rules,
         dc_error_threshold=dc_error_threshold,
-        parallel=parallel,
     )
     right_report = clean_sigma(
         right_state,
         right_tids,
         force_rules=right_rules,
         dc_error_threshold=dc_error_threshold,
-        parallel=parallel,
     )
     report.merge(left_report)
     report.merge(right_report)

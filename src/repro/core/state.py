@@ -110,7 +110,6 @@ class TableState:
         "seen_tids": (
             "TableState.mark_seen",
             "_clean_sigma_fd",
-            "parallel_relax_fd",
         ),
         "fully_cleaned_rules": (
             "TableState.mark_fully_cleaned",

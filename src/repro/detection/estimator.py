@@ -166,23 +166,6 @@ def _boundary_overlap(
     return overlap / union
 
 
-def estimate_check_cost(
-    matrix: ThetaJoinMatrix, cells: Sequence[tuple[int, int]]
-) -> float:
-    """Raw work estimate for checking ``cells`` of ``matrix`` (no charges).
-
-    The adaptive planner prices pool/worker choices for a theta-join check
-    with this quantity (see
-    :meth:`repro.parallel.clean.ParallelContext.plan_dc_check`): the
-    pair-count upper bound of the candidate cells.  A full-matrix check's
-    estimate is ~n²-scale, which is what escalates it to the process pool;
-    a partial check touching a few stripes stays orders of magnitude
-    smaller.  Estimation is free — the pruning-aware real cost is what the
-    ``dc_check`` calibration bucket learns from observed work units.
-    """
-    return matrix.estimate_cells_cost(cells)
-
-
 def decide_cleaning(
     matrix: ThetaJoinMatrix,
     query_tids: Sequence[int],

@@ -32,19 +32,17 @@ Two execution backends share the matrix/pruning machinery:
   return identical violation lists.
 
 Cells are independent work units: :meth:`ThetaJoinMatrix._check_cell` is
-side-effect-free apart from charging a caller-supplied work counter, each
-cell's violations come back in canonical (t1, t2) order, and
-:meth:`ThetaJoinMatrix.check_cells` can fan candidate cells out over an
-:class:`~repro.parallel.pool.ExecutorPool`, merging partial results and
-per-task counters in cell order — parallel runs are byte-identical to
-serial ones, in both violations and work units.
+side-effect-free apart from charging the matrix's work counter, and each
+cell's violations come back in canonical (t1, t2) order, so
+:meth:`ThetaJoinMatrix.check_cells` returns the cells' lists concatenated
+in cell order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro._ownership import shared_engine_state
 from repro.constraints.dc import DenialConstraint
@@ -60,9 +58,6 @@ from repro.relation.columnview import (
 )
 from repro.relation.kernels import COLUMN_NUMPY, COLUMN_PYTHON
 from repro.relation.relation import Relation, Row
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.pool import ExecutorPool
 
 
 @dataclass(frozen=True)
@@ -504,25 +499,20 @@ class ThetaJoinMatrix:
         counter.charge_comparisons()
         return all(p.evaluate((row_a, row_b), self.indexes) for p in self.rest_preds)
 
-    def _check_cell(
-        self, i: int, j: int, counter: WorkCounter | None = None
-    ) -> list[ViolationPair]:
+    def _check_cell(self, i: int, j: int) -> list[ViolationPair]:
         """Check all (ordered) pairs of cell (i, j), with intra-cell pruning.
 
         For the diagonal (i == j) each unordered pair is checked in both
         orders once; off-diagonal cells check stripe_i × stripe_j in both
         orders (the constraint's tuple variables are ordered).
 
-        Side-effect-free apart from work accounting: ``counter`` (defaulting
-        to the matrix counter) receives this cell's charges, so parallel
-        runs hand each cell task its own counter and merge the tallies
-        afterwards.  The returned pairs are in canonical per-cell order —
-        stably sorted by (t1, t2) and deduplicated — making every caller's
-        merged violation list deterministic (cells are disjoint in the
-        ordered pairs they cover, so cell order + in-cell order is a total
-        order).
+        Side-effect-free apart from charging the matrix counter.  The
+        returned pairs are in canonical per-cell order — stably sorted by
+        (t1, t2) and deduplicated — making every caller's concatenated
+        violation list deterministic (cells are disjoint in the ordered
+        pairs they cover, so cell order + in-cell order is a total order).
         """
-        counter = counter if counter is not None else self.counter
+        counter = self.counter
         preds = self.dc.predicates
         box_i, box_j = self.bboxes[i], self.bboxes[j]
         # Cell-level pruning: every predicate must be satisfiable in at
@@ -809,88 +799,26 @@ class ThetaJoinMatrix:
                 out.append((i, j))
         return out
 
-    def check_cells(
-        self,
-        cells: Sequence[tuple[int, int]],
-        pool: "ExecutorPool" | None = None,
-    ) -> list[ViolationPair]:
-        """Check the given cells, optionally fanned out over a pool.
-
-        Cells are independent (PR 1 made :meth:`_check_cell` side-effect
-        free), so with a pool each cell runs as one task with a private
-        :class:`WorkCounter`; partial violation lists and counters are
-        merged **in cell order**, making the result — and the matrix
-        counter's totals — byte-identical to a serial run.  Checked cells
-        are recorded only after all tasks complete.
-        """
+    def check_cells(self, cells: Sequence[tuple[int, int]]) -> list[ViolationPair]:
+        """Check the given cells in order and record them as checked."""
         out: list[ViolationPair] = []
-        if pool is None or pool.workers <= 1 or len(cells) <= 1:
-            for i, j in cells:
-                out.extend(self._check_cell(i, j))
-                self.checked_cells.add((i, j))
-            return out
-
-        # Process pools pickle results across the process boundary; plain
-        # (t1, t2) int tuples serialize an order of magnitude cheaper than
-        # ViolationPair instances, and rebuilding in task order preserves
-        # byte-identity.
-        compact = pool.kind == "process"
-
-        def task_for(
-            cell: tuple[int, int]
-        ) -> Callable[[], tuple[list[Any], WorkCounter]]:
-            def task() -> tuple[list[Any], WorkCounter]:
-                local = WorkCounter()
-                pairs = self._check_cell(cell[0], cell[1], counter=local)
-                if compact:
-                    return [(v.t1, v.t2) for v in pairs], local
-                return pairs, local
-
-            return task
-
-        results = pool.run([task_for(cell) for cell in cells])
-        for cell, (violations, local) in zip(cells, results):
-            if compact:
-                out.extend(ViolationPair(t1, t2) for t1, t2 in violations)
-            else:
-                out.extend(violations)
-            self.counter.merge(local)
-            self.checked_cells.add(cell)
+        for i, j in cells:
+            out.extend(self._check_cell(i, j))
+            self.checked_cells.add((i, j))
         return out
 
-    def check_full(
-        self, pool: "ExecutorPool" | None = None
-    ) -> list[ViolationPair]:
+    def check_full(self) -> list[ViolationPair]:
         """Check every not-yet-checked upper-triangle cell (offline mode)."""
-        return self.check_cells(self.candidate_cells(), pool=pool)
+        return self.check_cells(self.candidate_cells())
 
-    def check_partial(
-        self, query_tids: Iterable[int], pool: "ExecutorPool" | None = None
-    ) -> list[ViolationPair]:
+    def check_partial(self, query_tids: Iterable[int]) -> list[ViolationPair]:
         """Check only cells involving the query's stripes (partial theta-join).
 
         A cell (i, j) is relevant if stripe i or stripe j contains a query
         tuple; previously checked cells are skipped and newly checked cells
         are recorded — the incremental matrix of Fig. 2.
         """
-        return self.check_cells(self.candidate_cells(query_tids), pool=pool)
-
-    def estimate_cells_cost(self, cells: Sequence[tuple[int, int]]) -> float:
-        """Pair-count upper bound of checking ``cells`` (no work charged).
-
-        Diagonal cells check each unordered pair once per orientation
-        (|s|·|s| worst case); off-diagonal cells check both orientations of
-        stripe_i × stripe_j.  This is the raw unit the adaptive planner's
-        ``dc_check`` calibration bucket rescales into observed work —
-        cell-level and intra-cell pruning make the real cost smaller, by a
-        workload-dependent factor the calibration learns.
-        """
-        total = 0.0
-        for i, j in cells:
-            size_i = len(self.stripes[i])
-            size_j = len(self.stripes[j])
-            total += size_i * size_j * (1.0 if i == j else 2.0)
-        return total
+        return self.check_cells(self.candidate_cells(query_tids))
 
     def support(self) -> float:
         """Fraction of diagonal-inclusive triangle cells checked so far.

@@ -6,7 +6,7 @@ annotated engine state happens inside a declared seam.  This module is the
 :data:`repro._ownership.OWNERSHIP_REGISTRY` — wrapping ``__setattr__`` /
 ``__delattr__``, the construction methods, and the declared mutating
 accessors — and records every attribute write as a
-``(class, attr, site, thread, pid, phase)`` event.  An event *contradicts*
+``(class, attr, site, thread, phase)`` event.  An event *contradicts*
 the declared ownership when:
 
 * ``shared_engine_state`` — a post-construction write lands outside the
@@ -17,12 +17,6 @@ the declared ownership when:
 * ``session_owned`` — post-construction writes to one instance arrive
   from more than one thread (the confinement claim is exactly
   "single writing thread").
-
-Fork-process pool children are exempt from the cross-thread analysis:
-their copy-on-write state is private by construction, so child-side
-events (recognised by ``os.getpid()`` differing from the activating
-process) are recorded but never escalate to violations — and die with
-the child anyway.
 
 The witness observes what the interpreter lets it observe: rebinding
 writes and declared-accessor aliases.  In-place container mutation
@@ -76,7 +70,6 @@ class WitnessEvent:
     site: str
     thread: int
     thread_name: str
-    pid: int
     phase: str
 
     def to_json(self) -> dict[str, Any]:
@@ -86,7 +79,6 @@ class WitnessEvent:
             "site": self.site,
             "thread": self.thread,
             "thread_name": self.thread_name,
-            "pid": self.pid,
             "phase": self.phase,
         }
 
@@ -178,7 +170,6 @@ class RaceWitness:
         self._lock = threading.RLock()
         self._activations = 0
         self._wrapped: list[_Wrapped] = []
-        self._root_pid = 0
         self.events: list[WitnessEvent] = []
         self.violations: list[WitnessViolation] = []
         #: id(instance) -> construction-in-progress depth.
@@ -198,7 +189,6 @@ class RaceWitness:
             self._activations += 1
             if self._activations > 1:
                 return
-            self._root_pid = os.getpid()
             for cls, spec in list(OWNERSHIP_REGISTRY.items()):
                 self._instrument(cls, spec)
 
@@ -239,7 +229,6 @@ class RaceWitness:
         site: str,
     ) -> None:
         thread = threading.current_thread()
-        pid = os.getpid()
         constructing = self._constructing.get(id(instance), 0) > 0
         phase = PHASE_INIT if constructing else PHASE_POST_INIT
         event = WitnessEvent(
@@ -248,15 +237,11 @@ class RaceWitness:
             site=site,
             thread=thread.ident or 0,
             thread_name=thread.name,
-            pid=pid,
             phase=phase,
         )
         with self._lock:
             self.events.append(event)
         if constructing:
-            return
-        if pid != self._root_pid:
-            # Fork-pool child: copy-on-write state is private; record only.
             return
         if _harness_module(module):
             return
@@ -396,7 +381,6 @@ class RaceWitness:
             for event in self.events:
                 per_class[event.cls] = per_class.get(event.cls, 0) + 1
             return {
-                "root_pid": self._root_pid,
                 "events": len(self.events),
                 "writes_per_class": dict(sorted(per_class.items())),
                 "violations": [v.to_json() for v in self.violations],

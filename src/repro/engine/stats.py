@@ -18,7 +18,6 @@ benchmark harness reports both seconds and work units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 from repro._ownership import shared_engine_state
 
 
@@ -28,9 +27,7 @@ class WorkCounter:
     """Mutable tally of work units performed by engine + cleaning operators.
 
     Each counter is written only by its ``charge_*`` seam (plus ``merge``,
-    which folds worker-shard counters back in on the coordinating thread,
-    and ``reset``); parallel passes give every worker a private counter and
-    merge, so the shared per-table counter stays single-writer.
+    which folds another tally in, and ``reset``).
     """
 
     MUTATED_UNDER = {
@@ -95,20 +92,6 @@ class WorkCounter:
             partitions_pruned=self.partitions_pruned - earlier.partitions_pruned,
             joins_probed=self.joins_probed - earlier.joins_probed,
         )
-
-    @classmethod
-    def merged(cls, counters: Iterable["WorkCounter"]) -> "WorkCounter":
-        """One counter accumulating many per-worker tallies.
-
-        The fan-out merge of the parallel paths: each pool task charges a
-        private counter, and the caller folds them together (order cannot
-        matter — addition commutes), so parallel totals reconcile with a
-        serial run exactly.
-        """
-        out = cls()
-        for counter in counters:
-            out.merge(counter)
-        return out
 
     def merge(self, other: "WorkCounter") -> None:
         """Accumulate another counter into this one (e.g. per-partition tallies)."""

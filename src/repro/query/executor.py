@@ -17,8 +17,6 @@ from typing import Any, Callable
 
 from repro.core.operators import CleanReport, clean_join, clean_sigma
 from repro.core.state import TableState
-from repro.engine.stats import WorkCounter
-from repro.parallel.clean import ParallelContext
 from repro.errors import PlanError, QueryError
 from repro.metrics.timing import clock
 from repro.probabilistic.lineage import join_with_lineage
@@ -68,15 +66,11 @@ class Executor:
         catalog: PlannerCatalog,
         cleaning_enabled: bool = True,
         dc_error_threshold: float = 0.2,
-        parallel: ParallelContext | None = None,
     ):
         self.states = states
         self.catalog = catalog
         self.cleaning_enabled = cleaning_enabled
         self.dc_error_threshold = dc_error_threshold
-        #: Optional sharded/pooled execution context for the clean operators
-        #: (owned by the session; None keeps the serial oracle paths).
-        self.parallel = parallel
 
     # -- filter evaluation ----------------------------------------------------------
 
@@ -133,15 +127,9 @@ class Executor:
         state: TableState,
         conditions: list[Condition],
         connector: Connector,
-        counter: WorkCounter | None = None,
     ) -> set[int]:
-        """Tids of ``state`` satisfying ``conditions`` under ``connector``.
-
-        ``counter`` overrides the table counter the selection charges — the
-        batch planner's decision phase filters with a throwaway counter so
-        pricing a rule group leaves the work-unit totals untouched.
-        """
-        counter = counter if counter is not None else state.counter
+        """Tids of ``state`` satisfying ``conditions`` under ``connector``."""
+        counter = state.counter
         relation = state.relation
         view = state.column_view()
         if view is not None:
@@ -226,7 +214,6 @@ class Executor:
                     where_attrs=node.where_attrs,
                     projection=node.projection_attrs,
                     dc_error_threshold=self.dc_error_threshold,
-                    parallel=self.parallel,
                 )
                 report.merge(sub)
                 # Newly qualifying tuples can only come from the repaired scope.
@@ -389,7 +376,6 @@ class Executor:
                     right_filter=self._bound_filter(
                         right_state.relation, right_conditions, query.connector, False
                     ),
-                    parallel=self.parallel,
                 )
                 report.merge(sub)
                 acc = self._reapply_side_filters(

@@ -126,7 +126,16 @@ class ServiceServer:
             return _http_response(
                 "413 Payload Too Large", _error_body("request body too large")
             )
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            # The client closed before sending the body it announced.
+            return _http_response(
+                "400 Bad Request",
+                _error_body(
+                    f"request body ended after {len(exc.partial)} of {length} bytes"
+                ),
+            )
 
         if method == "POST" and path == "/v1/requests":
             return await self._handle_request(body)

@@ -22,7 +22,6 @@ patch stream without ever rewriting a whole column.
 
 from __future__ import annotations
 
-import os
 import shutil
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
@@ -172,9 +171,8 @@ class StorageColumns(dict):  # type: ignore[type-arg]
         return self.storage_copy()
 
     def __reduce__(self) -> "tuple[Any, ...]":
-        # Cross-process shipping (fork pool work units) materializes to a
-        # plain dict: the child gets byte-identical columns without a
-        # provider, and never touches the parent's handles.
+        # Pickling materializes to a plain dict: the copy gets byte-identical
+        # columns without a provider and never touches this table's handles.
         return (dict, (self.materialized(),))
 
 
@@ -184,8 +182,7 @@ class TableStorage:
 
     Attach/detach swap a view's columns dict and the patch subscription;
     both run inside the serialized per-table passes that build or close
-    views.  ``_fresh_sqlite`` re-opens the pushdown mirror after a fork
-    (the child's inherited handle is unusable), stamping the new owner pid.
+    views.
     """
 
     MUTATED_UNDER = {
@@ -195,8 +192,6 @@ class TableStorage:
             "TableStorage.close",
         ),
         "_unsubscribe": ("TableStorage.ensure_attached", "TableStorage.detach"),
-        "sqlite": ("TableStorage._fresh_sqlite",),
-        "_owner_pid": ("TableStorage._fresh_sqlite",),
     }
 
     def __init__(
@@ -222,7 +217,6 @@ class TableStorage:
             else None
         )
         self.attached = False
-        self._owner_pid = os.getpid()
         self._unsubscribe: "Any | None" = None
 
     # -- view attachment -----------------------------------------------------------
@@ -302,12 +296,12 @@ class TableStorage:
     ) -> "list[int] | None":
         if self.sqlite is None or not self.attached:
             return None
-        return self._fresh_sqlite().filter_positions(attr, op, value)
+        return self.sqlite.filter_positions(attr, op, value)
 
     def pushdown_sorted(self, attr: str) -> "tuple[list[Any], list[int]] | None":
         if self.sqlite is None or not self.attached:
             return None
-        return self._fresh_sqlite().sorted_pairs(attr)
+        return self.sqlite.sorted_pairs(attr)
 
     def pushdown_window(
         self,
@@ -318,16 +312,7 @@ class TableStorage:
     ) -> "list[int] | None":
         if self.sqlite is None or not self.attached:
             return None
-        return self._fresh_sqlite().range_window(attr, low, high, positions)
-
-    def _fresh_sqlite(self) -> SqliteBackend:
-        # A forked worker must never use the parent's inherited connection
-        # (shared fd, shared file offset): drop it and reopen in-process.
-        assert self.sqlite is not None
-        if os.getpid() != self._owner_pid:
-            self.sqlite._conn = None
-            self._owner_pid = os.getpid()
-        return self.sqlite
+        return self.sqlite.range_window(attr, low, high, positions)
 
     # -- lifecycle -----------------------------------------------------------------
 

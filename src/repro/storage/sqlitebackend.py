@@ -178,8 +178,8 @@ class SqliteBackend:
         self.path.unlink(missing_ok=True)
 
     def __getstate__(self) -> dict[str, Any]:
-        # Fork-process workers reopen their own connection lazily; a live
-        # sqlite3.Connection must never cross the fork boundary.
+        # A copy reopens its own connection lazily; a live
+        # sqlite3.Connection is never pickled.
         state = dict(self.__dict__)
         state["_conn"] = None
         return state

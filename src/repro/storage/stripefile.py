@@ -17,7 +17,7 @@ when every non-null cell is exactly representable and round-trips to the
 *same Python value* — ``int`` stays ``int``, ``float`` stays ``float``
 (including NaN/±inf/−0.0 via the IEEE-754 ``d`` format), ``str`` stays
 ``str``.  Everything else falls back to pickle, which round-trips any
-engine cell (PValues ship through the fork-process pool the same way).
+engine cell.
 Decoding therefore reproduces the in-memory column **byte-for-byte** in
 the engine's value semantics — the property the hypothesis suite in
 ``tests/test_storage_roundtrip.py`` pins.

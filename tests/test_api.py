@@ -45,7 +45,7 @@ def relations_identical(a: Relation, b: Relation) -> bool:
 class TestDaisyConfig:
     def test_defaults_and_replace(self):
         config = DaisyConfig()
-        assert config.use_cost_model and len(dataclasses.fields(config)) == 14
+        assert config.use_cost_model and len(dataclasses.fields(config)) == 9
         off = config.replace(use_cost_model=False)
         assert not off.use_cost_model and config.use_cost_model
 
@@ -60,6 +60,23 @@ class TestDaisyConfig:
             DaisyConfig(expected_queries=0)
         with pytest.raises(ValueError):
             DaisyConfig(dc_error_threshold=1.5)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("parallelism", 2),
+            ("pool", "thread"),
+            ("num_shards", 2),
+            ("auto_max_workers", 2),
+            ("batch_strategy", "shared"),
+        ],
+    )
+    def test_removed_knobs_fail_loudly(self, name, value):
+        assert len(dataclasses.fields(DaisyConfig)) == 9
+        with pytest.raises(TypeError, match=name):
+            DaisyConfig(**{name: value})
+        with pytest.raises(TypeError, match=name):
+            Daisy(**{name: value})
 
 
 class TestSession:
@@ -286,18 +303,32 @@ class TestExecuteBatch:
         assert group.table == "airquality"
         assert group.rule_keys == ("phi_county",)
 
-    def test_sequential_batch_strategy_matches_sequential(self):
-        d_seq, queries = _airquality_setup()
-        sequential = [d_seq.connect().execute(q) for q in queries]
+    def test_batch_matches_a_loop_of_execute(self):
+        """Sequential execution is a plain loop over ``session.execute``.
 
-        d_off, queries = _airquality_setup()
-        session = d_off.connect(d_off.config.replace(batch_strategy="sequential"))
-        batch = session.execute_batch(queries)
-        assert batch.groups == []
-        for batched, plain in zip(batch, sequential):
+        The batch returns the loop's answers and leaves the same repaired
+        relation; both sides' query logs account for every work unit their
+        engine charged, and the shared pass never charges more than the loop.
+        """
+        d_loop, queries = _hospital_setup()
+        session = d_loop.connect()
+        before = d_loop.total_work()
+        looped = [session.execute(q) for q in queries]
+        loop_work = d_loop.total_work() - before
+        assert sum(e.work_units for e in session.query_log) == loop_work
+
+        d_batch, queries = _hospital_setup()
+        before = d_batch.total_work()
+        batch = d_batch.connect().execute_batch(queries)
+        batch_work = d_batch.total_work() - before
+        assert sum(e.work_units for e in batch.report.entries) == batch_work
+        assert batch.report.total_work_units == batch_work
+
+        assert len(batch) == len(looped)
+        for batched, plain in zip(batch, looped):
             assert relations_identical(batched.relation, plain.relation)
-        assert relations_identical(d_off.table("airquality"), d_seq.table("airquality"))
-        assert d_off.total_work() == d_seq.total_work()
+        assert relations_identical(d_batch.table("hospital"), d_loop.table("hospital"))
+        assert 0 < batch_work <= loop_work
 
     def test_batch_accepts_prepared_and_ast_queries(self):
         d = make_engine()

@@ -1,8 +1,10 @@
-"""Tests for the unified cost model: Section 5.2 formulas, statistics,
-calibration, and the adaptive planner's pricing."""
+"""Tests for the cost model: Section 5.2 formulas, statistics, calibration,
+and the adaptive planner's two priced decisions (strategy switch and
+admission)."""
 
 import pytest
 
+from repro import Daisy, DaisyConfig
 from repro.constraints import FunctionalDependency
 from repro.core import (
     AdaptivePlanner,
@@ -14,6 +16,8 @@ from repro.core import (
     incremental_query_cost,
     offline_cost,
 )
+from repro.core.costmodel import DECISION_STRATEGY, PASS_ADMISSION
+from repro.datasets import hospital
 from repro.relation import ColumnType, Relation
 
 
@@ -183,33 +187,19 @@ class TestCostCalibration:
             CostCalibration(alpha=1.5)
 
 
+def _switching_model() -> CostModel:
+    model = CostModel(
+        dataset_size=1000, estimated_errors=900, candidates_per_error=20.0,
+        config=CostModelConfig(expected_queries=100),
+    )
+    model.observe(QueryObservation(100, 700, 800, 800.0))
+    return model
+
+
 class TestPlannerPricing:
-    def test_completion_cost_model_orders_alternatives_sensibly(self):
-        planner = AdaptivePlanner(cpu_count=4, max_workers=4)
-        small = planner.pool_alternatives("dc_check", 200)
-        assert min(small, key=small.get) == "serial"
-        huge = planner.pool_alternatives("dc_check", 5_000_000)
-        assert min(huge, key=huge.get) == "process:4"
-
-    def test_calibration_moves_the_serial_threshold(self):
-        planner = AdaptivePlanner(cpu_count=4, max_workers=4)
-        raw = 1200
-        plan, decision = planner.choose_pool("fd_relax", "t", raw)
-        assert plan.kind == "serial"
-        # Observing that passes of this kind cost ~20x their raw estimate
-        # pushes the same raw size over the fan-out threshold.
-        planner.observe(decision, 24_000)
-        plan2, _ = planner.choose_pool("fd_relax", "t", raw)
-        assert plan2.parallel
-
     def test_strategy_verdicts_do_not_contaminate_calibration(self):
-        planner = AdaptivePlanner(cpu_count=2)
-        model = CostModel(
-            dataset_size=1000, estimated_errors=900, candidates_per_error=20.0,
-            config=CostModelConfig(expected_queries=100),
-        )
-        model.observe(QueryObservation(100, 700, 800, 800.0))
-        decision = planner.strategy_switch("t", model)
+        planner = AdaptivePlanner()
+        decision = planner.strategy_switch("t", _switching_model())
         assert decision is not None and decision.choice == "full_clean_now"
         # The estimate projects remaining-workload execution; the observed
         # value is only the clean's counter delta — record, don't calibrate.
@@ -217,12 +207,29 @@ class TestPlannerPricing:
         assert decision.observed_cost == 5000
         assert planner.calibration.samples("strategy") == 0
 
+    def test_calibration_shared_across_decision_kinds(self):
+        calibration = CostCalibration()
+        planner = AdaptivePlanner(calibration=calibration)
+        admission = planner.choose_admission("t", 10, 0, 0)
+        planner.observe(admission, 30)
+        assert calibration.factor(PASS_ADMISSION) == pytest.approx(3.0)
+        # The next admission estimate is rescaled by the learned ratio.
+        again = planner.choose_admission("t", 10, 0, 0)
+        assert again.alternatives["admit"] == pytest.approx(30.0)
+        # A strategy verdict observed through the same planner leaves every
+        # bucket but the admission one untouched.
+        verdict = planner.strategy_switch("t", _switching_model())
+        assert verdict is not None
+        planner.observe(verdict, 5000)
+        assert calibration.samples(PASS_ADMISSION) == 1
+        assert calibration.samples("strategy") == 0
+
     def test_decision_log_is_capped(self):
-        planner = AdaptivePlanner(cpu_count=1)
+        planner = AdaptivePlanner()
         cap = AdaptivePlanner.MAX_DECISIONS
         mark = planner.mark()
         for i in range(cap + 50):
-            planner.choose_pool("dc_check", f"t{i}", 10)
+            planner.choose_admission(f"t{i}", 10, 0, 0)
         assert len(planner.decisions) == cap
         assert planner.decisions_dropped == 50
         # Marks are absolute: the slice loses only what the cap discarded.
@@ -230,8 +237,55 @@ class TestPlannerPricing:
         assert len(since) == cap
         assert since[-1].table == f"t{cap + 49}"
         late_mark = planner.mark()
-        planner.choose_pool("dc_check", "late", 10)
+        planner.choose_admission("late", 10, 0, 0)
         assert [d.table for d in planner.decisions_since(late_mark)] == ["late"]
+
+
+def _hospital_queries() -> list[str]:
+    zips = [10000, 10400, 10800, 11200, 11600]
+    out = [
+        f"SELECT city, zip FROM hospital WHERE zip >= {lo} AND zip < {hi}"
+        for lo, hi in zip(zips, zips[1:])
+    ]
+    out.append("SELECT hospital_name, zip FROM hospital WHERE city = 'city_3'")
+    return out
+
+
+class TestStrategySwitchDecisions:
+    def test_switch_recorded_with_both_projected_costs(self):
+        def make() -> Daisy:
+            daisy = Daisy(
+                config=DaisyConfig(use_cost_model=True, expected_queries=6)
+            )
+            fresh = hospital.generate_instance(num_rows=400, seed=11)
+            daisy.register_table("hospital", fresh.dirty)
+            for fd in fresh.rules:
+                daisy.add_rule("hospital", fd)
+            return daisy
+
+        daisy = make()
+        with daisy.connect() as session:
+            report = session.execute_workload(_hospital_queries())
+        decisions = report.decisions_of_kind(DECISION_STRATEGY)
+        assert decisions
+        # column_backend="auto" (the default) is a static rule: the session
+        # prices and logs nothing for it.
+        assert {d.kind for d in session.planner.decisions} == {DECISION_STRATEGY}
+        for decision in decisions:
+            assert set(decision.alternatives) == {
+                "continue_incremental",
+                "full_clean_now",
+            }
+            assert decision.choice in decision.alternatives
+        # A switch (if any) carries the observed work of the full clean.
+        switched = [d for d in decisions if d.choice == "full_clean_now"]
+        if report.switch_query_index is not None:
+            assert switched and switched[0].observed_cost is not None
+        # The workload behaves exactly as the pre-planner should_switch path.
+        daisy2 = make()
+        with daisy2.connect() as session:
+            report2 = session.execute_workload(_hospital_queries())
+        assert report2.switch_query_index == report.switch_query_index
 
 
 class TestFdStatistics:

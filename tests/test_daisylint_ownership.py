@@ -81,9 +81,9 @@ class TestSeamLanguage:
         assert module_name_for("tools/daisylint/core.py") == "tools.daisylint.core"
 
     def test_site_candidates_peel_closures(self):
-        site = "repro.parallel.pool.ExecutorPool.run.<locals>.task"
+        site = "repro.service.scheduler.DaisyService.start.<locals>.loop"
         assert list(site_candidates(site)) == [
-            site, "repro.parallel.pool.ExecutorPool.run"
+            site, "repro.service.scheduler.DaisyService.start"
         ]
 
     def test_seam_matches_on_dotted_boundary_only(self):

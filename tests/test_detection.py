@@ -142,6 +142,24 @@ class TestThetaJoinMatrix:
         stripes = matrix.stripes_overlapping_range(900.0, 1100.0)
         assert stripes  # the 1000-salary tuple's stripe
 
+    def test_serial_order_is_canonical(self):
+        """Each cell returns its violations in (t1, t2) order, and
+        ``check_full`` is the cells' lists concatenated in cell order."""
+        from repro.datasets.errors import inject_numeric_errors
+
+        rows = [(100.0 + i * 10.0, round(0.01 + i * 0.0001, 6)) for i in range(120)]
+        rel, _ = inject_numeric_errors(
+            make_salary_relation(rows), "tax", cell_fraction=0.05, magnitude=3.0, seed=7
+        )
+        matrix = ThetaJoinMatrix(rel, salary_tax_dc(), sqrt_p=4, counter=WorkCounter())
+        per_cell = [matrix._check_cell(i, j) for i, j in matrix.candidate_cells()]
+        for violations in per_cell:
+            assert violations == sorted(violations, key=lambda v: (v.t1, v.t2))
+        flat = [v for chunk in per_cell for v in chunk]
+        assert flat
+        fresh = ThetaJoinMatrix(rel, salary_tax_dc(), sqrt_p=4, counter=WorkCounter())
+        assert fresh.check_full() == flat
+
 
 class TestEstimator:
     def test_no_errors_on_monotone_data(self):

@@ -6,7 +6,7 @@ ColumnView columns, sorted/hash indexes, the PValue-bounds sidecar, the
 group index, and the theta-join detection matrices — equals its
 cold-rebuilt twin on the hospital and air-quality fixtures; and the
 patched matrices return byte-identical violations and work units to the
-cold rebuild under serial, thread, and process pools.
+cold rebuild.
 
 Engine-level: a session running with ``matrix_maintenance="patch"`` and
 one running with ``"rebuild"`` (the pre-maintenance oracle: full rebuild
@@ -25,18 +25,8 @@ from repro.datasets import airquality, hospital
 from repro.detection.maintenance import matrix_fingerprint, sync_matrix
 from repro.detection.thetajoin import ThetaJoinMatrix
 from repro.engine.stats import WorkCounter
-from repro.parallel import fork_available, make_pool
 from repro.probabilistic.value import Candidate, PValue
 from repro.relation import ColumnView, Relation
-
-POOLS = ["serial", "thread", "process"]
-
-
-def _pool_or_skip(kind: str, workers: int = 3):
-    if kind == "process" and not fork_available():
-        pytest.skip("no fork on this platform")
-    return make_pool(kind, workers)
-
 
 def hospital_dc() -> DenialConstraint:
     # provider_id and phone are assigned monotonically together, so the DC
@@ -146,10 +136,8 @@ def test_columnview_structures_match_cold_rebuild(fixture):
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
-@pytest.mark.parametrize("pool_kind", POOLS)
-def test_patched_matrix_byte_identical_to_cold_rebuild(fixture, pool_kind):
-    """Structure, violations, and work units match a cold rebuild, with the
-    check fanned out over every pool kind."""
+def test_patched_matrix_byte_identical_to_cold_rebuild(fixture):
+    """Structure, violations, and work units match a cold rebuild."""
     make_rel, make_dc, make_updates = FIXTURES[fixture]
     rel = make_rel()
     matrix = ThetaJoinMatrix(rel, make_dc(), sqrt_p=6, counter=WorkCounter())
@@ -168,10 +156,7 @@ def test_patched_matrix_byte_identical_to_cold_rebuild(fixture, pool_kind):
     # Same bookkeeping -> byte-identical checks (violations AND work).
     cold.checked_cells = set(matrix.checked_cells)
     matrix.counter, cold.counter = WorkCounter(), WorkCounter()
-    with _pool_or_skip(pool_kind) as pool:
-        got = matrix.check_full(pool=pool)
-    expected = cold.check_full()
-    assert got == expected
+    assert matrix.check_full() == cold.check_full()
     assert matrix.counter.as_dict() == cold.counter.as_dict()
     assert matrix.checked_cells == cold.checked_cells
 
@@ -206,13 +191,9 @@ def _relation_fingerprint(rel: Relation) -> list[tuple]:
     return [(row.tid, tuple(repr(c) for c in row.values)) for row in rel.rows]
 
 
-def _run_update_workload(fixture: str, mode: str, **config_kwargs) -> dict:
+def _run_update_workload(fixture: str, mode: str) -> dict:
     make_rel, make_dc, make_updates = FIXTURES[fixture]
-    daisy = Daisy(
-        config=DaisyConfig(
-            use_cost_model=False, matrix_maintenance=mode, **config_kwargs
-        )
-    )
+    daisy = Daisy(config=DaisyConfig(use_cost_model=False, matrix_maintenance=mode))
     table = fixture
     daisy.register_table(table, make_rel())
     if fixture == "hospital":
@@ -263,19 +244,3 @@ def test_engine_patch_mode_matches_rebuild_oracle(fixture):
     assert patched["log"] == rebuilt["log"]
     assert patched["relation"] == rebuilt["relation"]
     assert patched["pcells"] == rebuilt["pcells"]
-
-
-@pytest.mark.parametrize("pool_kind", ["thread", "process"])
-def test_engine_update_workload_parallel_matches_serial(pool_kind):
-    """The update workload stays byte-identical when cells fan out over a
-    pool — violations, repairs, relations, and work units."""
-    if pool_kind == "process" and not fork_available():
-        pytest.skip("no fork on this platform")
-    serial = _run_update_workload("hospital", "patch")
-    parallel = _run_update_workload(
-        "hospital", "patch", parallelism=2, pool=pool_kind
-    )
-    assert parallel["rows"] == serial["rows"]
-    assert parallel["log"] == serial["log"]
-    assert parallel["relation"] == serial["relation"]
-    assert parallel["actions"] == serial["actions"]

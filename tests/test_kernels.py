@@ -419,7 +419,7 @@ class TestViewParity:
 
 
 def check_every_cell(rows, dc, sqrt_p, column_backend):
-    """Violations and private counter of each matrix cell, in cell order."""
+    """Violations and work charged by each matrix cell, in cell order."""
     relation = Relation.from_rows(
         [("a", ColumnType.FLOAT), ("b", ColumnType.FLOAT)], rows, validate=False
     )
@@ -430,8 +430,9 @@ def check_every_cell(rows, dc, sqrt_p, column_backend):
     out = []
     for i in range(matrix.num_stripes()):
         for j in range(i, matrix.num_stripes()):
-            local = WorkCounter()
-            pairs = matrix._check_cell(i, j, counter=local)
+            before = matrix.counter.snapshot()
+            pairs = matrix._check_cell(i, j)
+            local = matrix.counter.delta_since(before)
             out.append(((i, j), [(v.t1, v.t2) for v in pairs], local))
     return out
 

@@ -455,23 +455,6 @@ class TestTableStateLifecycle:
         with pytest.raises(SchemaError):
             warm.update_table("lineorder", {(0, "nosuch"): 5})
 
-    def test_parallel_shard_cache_resplits_on_update(self):
-        from repro.parallel import ParallelContext
-
-        daisy = self._daisy(n=40)
-        state = daisy.states["lineorder"]
-        context = ParallelContext("thread", 2, num_shards=2)
-        try:
-            before = context.shards_for(state)
-            assert context.shards_for(state) is before  # cached
-            daisy.update_table("lineorder", {(3, "price"): 9999.0})
-            after = context.shards_for(state)
-            assert after is not before
-            # The fresh split's shard views see the updated value.
-            assert 3 in after.filter_tids("price", "=", 9999.0)
-        finally:
-            context.close()
-
     def test_patch_log_stays_bounded_with_lagging_matrix(self):
         from repro.core.state import _PATCH_LOG_SOFT_LIMIT
 

@@ -4,9 +4,8 @@ The core invariant under test: every response a concurrent
 :class:`~repro.service.DaisyService` run produces is **byte-identical**
 (:meth:`ServiceResponse.encode`) to the one the serial one-session-at-a-
 time oracle (:func:`~repro.service.replay_serial`) produces replaying the
-same admission log on a fresh identical engine — across serial/thread/
-process session pools, patch/rebuild matrix maintenance, and the
-global-lock scheduling baseline.  Final repaired relations and per-table
+same admission log on a fresh identical engine — across patch/rebuild
+matrix maintenance and the global-lock scheduling baseline.  Final repaired relations and per-table
 work-unit totals must match too.
 
 The seeded-bug tests at the bottom are the isolation counterpart of
@@ -34,7 +33,6 @@ import pytest
 from repro import Daisy, DaisyConfig
 from repro.core.costmodel import DECISION_ADMISSION
 from repro.diagnostics import global_witness
-from repro.parallel import fork_available
 from repro.relation import ColumnType, Relation
 from repro.service import (
     DaisyService,
@@ -371,19 +369,8 @@ class TestSnapshotPrimitives:
 # Concurrent-equals-serial parity
 # ---------------------------------------------------------------------------
 
-_POOL_CONFIGS = [
+_CONFIGS = [
     pytest.param(DaisyConfig(use_cost_model=False), id="serial"),
-    pytest.param(
-        DaisyConfig(use_cost_model=False, parallelism=2, pool="thread"),
-        id="thread-pool",
-    ),
-    pytest.param(
-        DaisyConfig(use_cost_model=False, parallelism=2, pool="process"),
-        id="process-pool",
-        marks=pytest.mark.skipif(
-            not fork_available(), reason="fork start method unavailable"
-        ),
-    ),
     pytest.param(
         DaisyConfig(use_cost_model=False, matrix_maintenance="patch"),
         id="maintenance-patch",
@@ -396,7 +383,7 @@ _POOL_CONFIGS = [
 
 
 class TestConcurrentParity:
-    @pytest.mark.parametrize("config", _POOL_CONFIGS)
+    @pytest.mark.parametrize("config", _CONFIGS)
     def test_concurrent_matches_serial_oracle(self, config):
         log = generate_log(seed=11, clients=3, per_client=6)
         engine, service, responses = run_concurrent(log, config=config)
@@ -753,6 +740,41 @@ class TestHttpServer:
             (status, payload), (next_status, _) = asyncio.run(go())
         assert status == 400
         assert "Content-Length" in json.loads(payload)["error"]
+        assert next_status == 200
+
+    @pytest.mark.parametrize("body", [b"0123456789", b""], ids=["short", "headers-only"])
+    def test_truncated_body_is_400_and_server_keeps_serving(self, body):
+        # Regression: readexactly's IncompleteReadError answered 500 when
+        # the client half-closed before sending the announced body.
+        async def exchange(host: str, port: int, data: bytes) -> tuple[int, bytes]:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(data)
+            writer.write_eof()
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            head_bytes, _, payload = raw.partition(b"\r\n\r\n")
+            return int(head_bytes.split(b" ", 2)[1]), payload
+
+        async def go() -> list[tuple[int, bytes]]:
+            server = ServiceServer(service)
+            host, port = await server.start()
+            try:
+                head = b"POST /v1/requests HTTP/1.1\r\nContent-Length: 50\r\n\r\n"
+                return [
+                    await exchange(host, port, head + body),
+                    await exchange(host, port, b"GET /v1/status HTTP/1.1\r\n\r\n"),
+                ]
+            finally:
+                await server.stop()
+
+        service = DaisyService(make_engine())
+        with service:
+            (status, payload), (next_status, _) = asyncio.run(go())
+        assert status == 400
+        assert json.loads(payload)["error"] == (
+            f"request body ended after {len(body)} of 50 bytes"
+        )
         assert next_status == 200
 
     def test_shed_request_is_429(self):

@@ -11,8 +11,7 @@ workload once per storage mode and asserts byte-identity of
 * work-unit totals (storage I/O is deliberately not charged),
 * the per-query log (errors fixed, extra tuples, result sizes),
 
-across serial, thread-pool, and fork-process-pool sessions and across
-patch vs rebuild matrix maintenance.  ``memory`` is the oracle.
+across patch vs rebuild matrix maintenance.  ``memory`` is the oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import pytest
 from repro import Daisy, DaisyConfig
 from repro.constraints import DenialConstraint, Predicate
 from repro.datasets import airquality, hospital, workloads
-from repro.parallel import fork_available
 from repro.relation import ColumnType, Relation
 from repro.storage.modes import STORAGE_MODES
 
@@ -55,14 +53,13 @@ def _run_workload(make_daisy, table, queries):
         daisy.close()
 
 
-def _hospital_make(storage, **config_kwargs):
+def _hospital_make(storage):
     def make() -> Daisy:
         daisy = Daisy(
             config=DaisyConfig(
                 use_cost_model=False,
                 storage=storage,
                 memory_budget_mb=TIGHT_BUDGET_MB,
-                **config_kwargs,
             )
         )
         fresh = hospital.generate_instance(num_rows=300, seed=11)
@@ -127,31 +124,6 @@ class TestFdWorkloadParity:
             )
             assert got == oracle, f"storage={mode} diverged from memory"
 
-    @pytest.mark.parametrize("mode", ["mmap", "sqlite"])
-    def test_thread_pool_modes_byte_identical(self, mode):
-        oracle = _run_workload(
-            _hospital_make("memory"), "hospital", _hospital_queries()
-        )
-        got = _run_workload(
-            _hospital_make(mode, parallelism=2, pool="thread", num_shards=4),
-            "hospital",
-            _hospital_queries(),
-        )
-        assert got == oracle
-
-    @pytest.mark.skipif(not fork_available(), reason="no fork on this platform")
-    @pytest.mark.parametrize("mode", ["mmap", "sqlite"])
-    def test_process_pool_modes_byte_identical(self, mode):
-        oracle = _run_workload(
-            _hospital_make("memory"), "hospital", _hospital_queries()
-        )
-        got = _run_workload(
-            _hospital_make(mode, parallelism=2, pool="process"),
-            "hospital",
-            _hospital_queries(),
-        )
-        assert got == oracle
-
 
 class TestDcWorkloadParity:
     """DC theta-join workload: repairs route through the patch stream and
@@ -199,16 +171,6 @@ class TestDcWorkloadParity:
             assert got == oracle, (
                 f"storage={mode} maintenance={maintenance} diverged"
             )
-
-    @pytest.mark.skipif(not fork_available(), reason="no fork on this platform")
-    def test_sqlite_process_pool_byte_identical(self):
-        oracle = _run_workload(self._make("memory"), "lineorder", self._queries())
-        got = _run_workload(
-            self._make("sqlite", parallelism=2, pool="process"),
-            "lineorder",
-            self._queries(),
-        )
-        assert got == oracle
 
 
 class TestAirQualityBatchParity:

@@ -1,4 +1,4 @@
-"""Runtime race witness: seeded-bug self-tests, pool survival, parity.
+"""Runtime race witness: seeded-bug self-tests, lifecycle, parity.
 
 The seeded fixture (``tests/fixtures/seeded_race.py``) is loaded at
 *collection* time under the module name ``seeded_race`` — before the
@@ -27,7 +27,6 @@ from repro import Daisy, DaisyConfig
 from repro._ownership import OWNERSHIP_REGISTRY
 from repro.datasets import hospital
 from repro.diagnostics import RaceWitness, global_witness
-from repro.parallel import fork_available
 
 _FIXTURE = Path(__file__).resolve().parent / "fixtures" / "seeded_race.py"
 _spec = importlib.util.spec_from_file_location("seeded_race", _FIXTURE)
@@ -234,28 +233,5 @@ class TestWitnessedParity:
         before = len(witness.violations)
         plain = _workload()
         witnessed = _workload(diagnostics="witness")
-        assert witnessed == plain
-        assert witness.violations[before:] == []
-
-    def test_thread_pool_witnessed_run_is_byte_identical(self):
-        witness = global_witness()
-        before = len(witness.violations)
-        plain = _workload(parallelism=2, pool="thread", num_shards=4)
-        witnessed = _workload(
-            parallelism=2, pool="thread", num_shards=4, diagnostics="witness"
-        )
-        assert witnessed == plain
-        assert witness.violations[before:] == []
-
-    @pytest.mark.skipif(not fork_available(), reason="no fork on this platform")
-    def test_fork_pool_witnessed_run_is_byte_identical(self):
-        """The witness must survive fork-process pools: children inherit
-        the instrumentation copy-on-write; their private writes are
-        recorded at most, never escalated, and the merged results stay
-        byte-identical to the unwitnessed run."""
-        witness = global_witness()
-        before = len(witness.violations)
-        plain = _workload(parallelism=2, pool="process")
-        witnessed = _workload(parallelism=2, pool="process", diagnostics="witness")
         assert witnessed == plain
         assert witness.violations[before:] == []

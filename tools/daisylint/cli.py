@@ -2,7 +2,7 @@
 
 Exit codes: 0 — clean (modulo the baseline); 1 — new findings; 2 — usage
 or parse error.  ``--write-baseline`` regenerates the grandfathered-
-findings ledger (refusing DL001/DL002 entries); ``--json-output`` writes
+findings ledger (refusing DL001 entries); ``--json-output`` writes
 the machine-readable report CI uploads as an artifact.
 """
 
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write-baseline", action="store_true",
         help="regenerate the baseline from the current findings and exit 0 "
-        "(DL001/DL002 findings are rejected — fix those)",
+        "(DL001 findings are rejected — fix those)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",

@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 #: Codes whose findings may never be grandfathered: determinism (DL001)
-#: and fork-safety (DL002) regressions must be fixed, not baselined.
-NEVER_BASELINE = ("DL001", "DL002")
+#: regressions must be fixed, not baselined.
+NEVER_BASELINE = ("DL001",)
 
 _DISABLE_RE = re.compile(r"daisylint:\s*disable=([A-Za-z0-9_,\s]+)")
 

@@ -5,7 +5,6 @@ Each rule encodes one invariant the parity tests enforce dynamically (see
 
 =======  ==============================================================
 DL001    set-iteration determinism in result-producing modules
-DL002    fork-unsafe closure capture in pool fan-out sites
 DL003    wall-clock reads outside the timing module / benchmarks
 DL004    unseeded randomness in the engine
 DL005    bare / overbroad ``except``
@@ -29,13 +28,12 @@ from tools.daisylint.core import Finding, ModuleInfo, Rule, register
 
 #: Modules whose outputs feed query results / repairs — any nondeterministic
 #: iteration order here can leak into violations, repairs, or reports and
-#: break the serial/parallel and rowstore/columnar parity invariants.
+#: break the rowstore/columnar parity invariant.
 RESULT_PACKAGES = (
     "src/repro/detection/",
     "src/repro/repair/",
     "src/repro/relation/",
     "src/repro/query/",
-    "src/repro/parallel/",
 )
 
 #: All engine source (rules DL005/DL006 apply repo-engine-wide).
@@ -43,10 +41,6 @@ ENGINE_PREFIX = "src/repro/"
 
 #: The one module allowed to read wall clocks (plus benchmarks/).
 CLOCK_ALLOWED = ("src/repro/metrics/timing.py",)
-
-#: Call sinks that fan callables out to pools / forked workers.
-POOL_SINK_NAMES = {"parallel_relax_fd", "check_cells"}
-POOL_SINK_ATTRS = {"run", "submit", "map"}
 
 #: Functions whose signature threads a WorkCounter; engine call sites must
 #: pass ``counter=`` explicitly so no pass escapes work accounting.
@@ -330,167 +324,6 @@ class SetIterationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# DL002
-# ---------------------------------------------------------------------------
-
-
-def _free_names(fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
-    """Names read inside ``fn`` that are not bound inside ``fn``."""
-    bound = {a.arg for a in _all_args(fn.args)}
-    loads: set[str] = set()
-    body = fn.body if isinstance(fn.body, list) else [fn.body]
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                if isinstance(node.ctx, ast.Load):
-                    loads.add(node.id)
-                else:
-                    bound.add(node.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                bound.add(node.name)
-            elif isinstance(node, ast.comprehension):
-                bound.update(_target_names(node.target))
-    return loads - bound
-
-
-def _mutations_after(
-    scope: ast.AST, names: set[str], after_line: int
-) -> list[tuple[str, ast.AST]]:
-    """Rebinding / in-place mutation of ``names`` in ``scope`` past a line.
-
-    Counts direct rebinds (``x = …``, ``x += …``, ``del x``), mutator
-    method calls on the bare name (``x.append(…)``), and subscript stores
-    (``x[k] = …``) — the capture-then-mutate hazards a forked or threaded
-    task can observe.
-    """
-    hits: list[tuple[str, ast.AST]] = []
-    for node in _walk_scope(scope):
-        line = getattr(node, "lineno", 0)
-        if line <= after_line:
-            continue
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id in names:
-                    hits.append((target.id, node))
-                elif (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in names
-                ):
-                    hits.append((target.value.id, node))
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id in names:
-                    hits.append((target.id, node))
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in MUTATOR_METHODS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in names
-            ):
-                hits.append((func.value.id, node))
-    return hits
-
-
-@register
-class ForkUnsafeClosureRule(Rule):
-    code = "DL002"
-    name = "fork-unsafe-closure-capture"
-    rationale = (
-        "Tasks handed to an ExecutorPool read their free variables at call "
-        "time; capturing a loop variable (late binding) or a local mutated "
-        "after capture makes thread/fork results diverge from serial."
-    )
-
-    def applies(self, relpath: str) -> bool:
-        return relpath.startswith(ENGINE_PREFIX)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for call in ast.walk(module.tree):
-            if not isinstance(call, ast.Call):
-                continue
-            fname = _call_name(call)
-            is_sink = fname in POOL_SINK_NAMES or (
-                isinstance(call.func, ast.Attribute) and fname in POOL_SINK_ATTRS
-            )
-            if not is_sink:
-                continue
-            for arg in list(call.args) + [kw.value for kw in call.keywords]:
-                yield from self._check_task_arg(module, call, arg)
-
-    def _check_task_arg(
-        self, module: ModuleInfo, sink: ast.Call, arg: ast.expr
-    ) -> Iterator[Finding]:
-        # Case 1: comprehension of callables — late-binding capture of the
-        # comprehension target is the classic "every task sees the last
-        # cell" bug.
-        if isinstance(arg, (ast.ListComp, ast.GeneratorExp)):
-            elt = arg.elt
-            if isinstance(elt, ast.Lambda):
-                targets: set[str] = set()
-                for gen in arg.generators:
-                    targets.update(_target_names(gen.target))
-                captured = _free_names(elt) & targets
-                for name in sorted(captured):
-                    yield module.finding(
-                        self.code,
-                        elt,
-                        f"task lambda captures loop variable {name!r} by "
-                        "reference (late binding): every task sees its final "
-                        "value; bind it via a factory function or default arg",
-                    )
-            return
-        # Case 2: a lambda / local function passed directly.
-        fn = self._resolve_callable(module, arg)
-        if fn is None:
-            return
-        scopes = _enclosing_scopes(module, fn)
-        if not scopes:
-            return
-        scope = scopes[0]
-        free = _free_names(fn)
-        if not free:
-            return
-        for name, node in _mutations_after(scope, free, fn.lineno):
-            yield module.finding(
-                self.code,
-                node,
-                f"captured variable {name!r} is mutated after the task "
-                f"closure (line {fn.lineno}) captures it; snapshot it before "
-                "capture (fork/thread tasks must see frozen state)",
-            )
-
-    def _resolve_callable(
-        self, module: ModuleInfo, arg: ast.expr
-    ) -> ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda | None:
-        if isinstance(arg, ast.Lambda):
-            return arg
-        if isinstance(arg, ast.Name):
-            # A local `def` — or a lambda bound by assignment — in an
-            # enclosing function scope.
-            for scope in _enclosing_scopes(module, arg):
-                for node in _walk_scope(scope):
-                    if (
-                        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and node.name == arg.id
-                    ):
-                        return node
-                    if (
-                        isinstance(node, ast.Assign)
-                        and isinstance(node.value, ast.Lambda)
-                        and any(
-                            isinstance(t, ast.Name) and t.id == arg.id
-                            for t in node.targets
-                        )
-                    ):
-                        return node.value
-        return None
-
-
-# ---------------------------------------------------------------------------
 # DL003
 # ---------------------------------------------------------------------------
 
@@ -721,8 +554,8 @@ class MutableDefaultRule(Rule):
     name = "mutable-default-argument"
     rationale = (
         "A mutable default is shared across calls — per-query state bleeding "
-        "across sessions is exactly the class of bug the fork-safety "
-        "invariant exists to prevent."
+        "across sessions is exactly the class of bug session confinement "
+        "exists to prevent."
     )
 
     def applies(self, relpath: str) -> bool:
@@ -767,7 +600,7 @@ class CounterBypassRule(Rule):
     rationale = (
         "Every detection/repair pass charges work units to a WorkCounter; a "
         "call site that drops the counter makes the pass invisible to the "
-        "cost model and breaks serial/parallel work-unit parity."
+        "cost model and breaks work-unit parity between backends."
     )
 
     def applies(self, relpath: str) -> bool:
@@ -948,7 +781,6 @@ __all__ = [
     "STORAGE_PREFIX",
     "COUNTER_REQUIRED",
     "SetIterationRule",
-    "ForkUnsafeClosureRule",
     "WallClockRule",
     "UnseededRandomRule",
     "OverbroadExceptRule",
