@@ -6,9 +6,9 @@ Usage::
 
 Each ``bench_*.py`` module is executed as its own pytest run (the files do
 not match pytest's default collection pattern, so they are passed
-explicitly).  Modules that honor ``REPRO_BENCH_SCALE`` (fig05, fig09,
-pushdown) shrink with ``--scale``; the rest run at their built-in laptop
-scale.  Per-module outcome, duration, and peak RSS (the child's own
+explicitly).  Modules that honor ``REPRO_BENCH_SCALE`` (fig05, fig09)
+shrink with ``--scale``; the rest run at their built-in laptop scale.
+Per-module outcome, duration, and peak RSS (the child's own
 ``resource.getrusage`` high-water mark), plus
 any ``BENCH_<name>.json`` payloads the modules recorded, are merged into
 one ``BENCH_PR.json`` at the repo root — the perf-trajectory file that

@@ -84,13 +84,10 @@ class DaisyConfig:
         — fully RAM-resident, the historical behaviour and the parity
         oracle), ``"mmap"`` (columns spill to typed on-disk stripe chunks
         and are memory-mapped back on demand under the
-        ``memory_budget_mb`` LRU residency budget), ``"sqlite"`` (stripe
-        spill *plus* a SQLite mirror that serves selection filters,
-        order-by, and inequality-join candidate windows as indexed range
-        scans, returning only candidate position sets), or ``"auto"``
+        ``memory_budget_mb`` LRU residency budget), or ``"auto"``
         (resolved once per table: memory while it fits
-        ``memory_budget_mb``, else ``"sqlite"`` if it carries a general DC
-        and ``"mmap"`` otherwise — see ``docs/cost-model.md``).  Like
+        ``memory_budget_mb``, else ``"mmap"`` — see
+        ``docs/cost-model.md``).  Like
         ``backend`` this is data-scoped: baked into each table at
         registration, and a connecting session must agree with it.  All
         modes are byte-identical in violations, repairs, relations, sort

@@ -156,15 +156,12 @@ class Session:
         return False
 
     def close(self) -> None:
-        """Mark the session closed and release its storage OS handles.
+        """Mark the session closed.
 
-        The handles are SQLite connections (stripe reads are already
-        transient); the engine reopens them lazily if
-        another session connects, and ``Daisy.close()`` deletes the spill
-        files themselves.  Further execution raises SessionError; closing
-        twice is a no-op.
+        The session holds no OS handles (stripe reads are transient), and
+        ``Daisy.close()`` deletes the spill files.  Further execution raises
+        SessionError; closing twice is a no-op.
         """
-        self._engine.storage_manager.release_handles()
         self._closed = True
 
     @property

@@ -148,7 +148,7 @@ class TableState:
     #: Patch-vs-rebuild policy for incremental matrix maintenance.
     maintenance: MaintenancePolicy = field(default_factory=MaintenancePolicy)
     #: Storage mode for this table's columns: "memory" (default), "mmap",
-    #: "sqlite", or "auto" (replaced by a concrete mode on first use, see
+    #: or "auto" (replaced by a concrete mode on first use, see
     #: :meth:`resolved_storage`).  Data-scoped like :attr:`backend`; every
     #: mode is byte-identical in results.
     storage: str = STORAGE_MEMORY
@@ -203,9 +203,9 @@ class TableState:
     def resolved_storage(self) -> str:
         """The concrete storage mode for this table.
 
-        ``auto`` resolves on the table's size, budget and rules at first
-        use and the table keeps that answer — a spilled table must not
-        change byte home because a rule is added later.
+        ``auto`` resolves on the table's size and budget at first use and
+        the table keeps that answer — a spilled table must not move back to
+        memory because its row count changes later.
         """
         if self.storage == STORAGE_AUTO:
             self.storage = resolve_storage_mode(
@@ -213,7 +213,6 @@ class TableState:
                 len(self.relation.rows),
                 len(self.relation.schema.names),
                 self.memory_budget_mb,
-                theta_rules=bool(self.dc_rules()),
             )
         return self.storage
 
@@ -227,18 +226,17 @@ class TableState:
         return view
 
     def _ensure_storage(self, view: ColumnView) -> None:
-        """Attach the spill/pushdown storage to a view (spill modes only).
+        """Attach the stripe spill storage to a view (spill modes only).
 
         Lazy and idempotent: the facade is created on the first columnar
         view built under a spill mode, re-attaches after a cold rebuild
         (row churn produces a plain-dict view), and leaves patched
         descendants — which already carry storage-backed columns — alone.
         """
-        mode = self.resolved_storage()
-        if mode == STORAGE_MEMORY or self.storage_factory is None:
+        if self.resolved_storage() == STORAGE_MEMORY or self.storage_factory is None:
             return
         if self.storage_provider is None:
-            self.storage_provider = self.storage_factory(mode)
+            self.storage_provider = self.storage_factory()
         self.storage_provider.ensure_attached(view)
 
     # -- rule management -----------------------------------------------------------
@@ -254,12 +252,11 @@ class TableState:
             self.statistics.add(rule_key(rule), stats)
         else:
             dc = as_dc(rule)
-            self.column_view()  # attach storage before the matrix snapshots
+            self.column_view()  # build (and spill) the view at registration
             self.matrices[rule_key(rule)] = ThetaJoinMatrix(
                 self.relation, dc, sqrt_p=self.sqrt_partitions,
                 counter=self.counter, backend=self.backend,
                 column_backend=self.resolved_column_backend(),
-                storage=self.storage_provider,
             )
             self.matrix_epochs[rule_key(rule)] = self.data_epoch
 
@@ -283,12 +280,11 @@ class TableState:
         key = rule_key(dc)
         matrix = self.matrices.get(key)
         if matrix is None:
-            self.column_view()  # attach storage before the matrix snapshots
+            self.column_view()  # the matrix's table keeps a built, attached view
             matrix = ThetaJoinMatrix(
                 self.relation, dc, sqrt_p=self.sqrt_partitions,
                 counter=self.counter, backend=self.backend,
                 column_backend=self.resolved_column_backend(),
-                storage=self.storage_provider,
             )
             self.matrices[key] = matrix
             self.matrix_epochs[key] = self.data_epoch

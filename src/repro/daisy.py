@@ -85,8 +85,8 @@ class Daisy:
             )
         self.config = config
         self._witness_active = False
-        #: All spilled state (stripe files, SQLite mirrors) of this engine;
-        #: sessions release its OS handles on close, :meth:`close` deletes it.
+        #: All spilled state (stripe files) of this engine; :meth:`close`
+        #: deletes it.
         self.storage_manager = StorageManager()
         self.states: dict[str, TableState] = {}
         self.catalog = PlannerCatalog()
@@ -143,9 +143,7 @@ class Daisy:
             maintenance=MaintenancePolicy(mode=self.config.matrix_maintenance),
             storage=self.config.storage,
             memory_budget_mb=budget,
-            storage_factory=(
-                lambda mode: manager.table_storage(name, mode, budget)
-            ),
+            storage_factory=lambda: manager.table_storage(name, budget),
         )
         self.states[name] = state
         self.catalog.add_table(name, relation.schema)
@@ -225,9 +223,7 @@ class Daisy:
 
         Tables stay registered and usable afterwards: a spill-mode table
         re-spills from its (RAM-resident) relation on next access.  Call
-        this when discarding the engine to leave no temp files behind;
-        open sessions only *release* handles (they reopen lazily), the
-        engine close is what deletes the spill directories.
+        this when discarding the engine to leave no temp files behind.
         """
         for state in self.states.values():
             provider = state.storage_provider

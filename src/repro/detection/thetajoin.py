@@ -333,7 +333,6 @@ class ThetaJoinMatrix:
         counter: WorkCounter | None = None,
         backend: str = BACKEND_COLUMNAR,
         column_backend: str = COLUMN_PYTHON,
-        storage: Any = None,
     ) -> None:
         if dc.arity != 2:
             raise ConstraintError(
@@ -364,12 +363,6 @@ class ThetaJoinMatrix:
         )
         self.rest_preds = [p for p in dc.predicates if p is not self.driving_pred]
         self.attrs = sorted(dc.attributes())
-        #: Optional :class:`~repro.storage.provider.TableStorage`: lets the
-        #: rebuild sort and candidate windows come from the SQLite pushdown
-        #: mirror instead of materializing full columns.  Every pushed
-        #: answer is audited against the relation before use, so results
-        #: are byte-identical with or without it.
-        self.storage = storage
         self.rebuild(relation)
         #: Cells already checked, as (i, j) with i <= j.
         self.checked_cells: set[tuple[int, int]] = set()
@@ -389,14 +382,12 @@ class ThetaJoinMatrix:
         self.indexes = {a: relation.schema.index_of(a) for a in self.attrs}
         primary_idx = self.indexes[self.primary_attr]
         self._relpos = {row.tid: pos for pos, row in enumerate(relation.rows)}
-        keyed = self._pushdown_keyed(relation, primary_idx)
-        if keyed is None:
-            keyed = [
-                (v, row)
-                for row in relation.rows
-                if (v := _numeric(row.values[primary_idx])) is not None
-            ]
-            keyed.sort(key=lambda kv: kv[0])
+        keyed = [
+            (v, row)
+            for row in relation.rows
+            if (v := _numeric(row.values[primary_idx])) is not None
+        ]
+        keyed.sort(key=lambda kv: kv[0])
         n = len(keyed)
         stripes: list[list[Row]] = []
         if n == 0:
@@ -421,64 +412,6 @@ class ThetaJoinMatrix:
                 )
                 for stripe in self.stripes
             ]
-
-    def _pushdown_keyed(
-        self, relation: Relation, primary_idx: int
-    ) -> list[tuple[float, Row]] | None:
-        """The primary-axis sort order via SQLite ORDER-BY pushdown.
-
-        The mirror's answer is trusted only after an O(n) audit proving it
-        *is* the oracle order: the returned positions must cover exactly
-        the relation's numeric rows and be strictly increasing under the
-        oracle's (collapsed value, row position) sort key, with the values
-        re-read from the relation itself (the mirror's stored values are
-        never consumed).  Any mismatch — a stale mirror, row churn, a
-        non-numeric column — falls back to the in-memory sort, so the
-        stripes are byte-identical either way; the pushdown only replaces
-        the O(n log n) sort with an indexed scan.
-        """
-        if self.storage is None:
-            return None
-        pushed = self.storage.pushdown_sorted(self.primary_attr)
-        if pushed is None:
-            return None
-        _values, positions = pushed
-        rows = relation.rows
-        n = len(rows)
-        eligible = sum(
-            1 for row in rows if _numeric(row.values[primary_idx]) is not None
-        )
-        if len(positions) != eligible:
-            return None
-        keyed: list[tuple[float, Row]] = []
-        prev_key: tuple[float, int] | None = None
-        for pos in positions:
-            if not 0 <= pos < n:
-                return None
-            row = rows[pos]
-            value = _numeric(row.values[primary_idx])
-            if value is None:
-                return None
-            key = (value, pos)
-            if prev_key is not None and key <= prev_key:
-                return None
-            prev_key = key
-            keyed.append((value, row))
-        return keyed
-
-    def pushdown_window_positions(
-        self, attr: str, low: float, high: float
-    ) -> list[int] | None:
-        """Candidate row positions with ``attr`` in ``[low, high]`` from the
-        SQLite mirror's indexed BETWEEN scan — the bounded alternative to
-        materializing a full column and scanning it (the DMR-style window
-        shrinking of the paper's partial theta-join, pushed to storage).
-        ``None`` when the matrix has no pushdown storage or the attribute
-        is not exactly mirrorable; callers then fall back to stripe scans.
-        """
-        if self.storage is None:
-            return None
-        return self.storage.pushdown_window(attr, low, high)
 
     def num_stripes(self) -> int:
         return len(self.stripes)

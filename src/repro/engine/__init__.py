@@ -1,14 +1,8 @@
-"""Partitioned dataflow engine — the Spark-RDD stand-in substrate."""
+"""Engine-wide work accounting (the machine-independent cost counters)."""
 
-from repro.engine.dataset import PartitionedDataset
-from repro.engine.partition import HashPartitioner, RangeBoundary, RangePartitioner
 from repro.engine.stats import GLOBAL_COUNTER, WorkCounter
 
 __all__ = [
-    "PartitionedDataset",
-    "HashPartitioner",
-    "RangePartitioner",
-    "RangeBoundary",
     "WorkCounter",
     "GLOBAL_COUNTER",
 ]

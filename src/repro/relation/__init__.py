@@ -1,4 +1,4 @@
-"""Relational substrate: schemas, row/column relations, indexes, CSV i/o."""
+"""Relational substrate: schemas, row/column relations, CSV i/o."""
 
 from repro.relation.schema import Column, ColumnType, Schema
 from repro.relation.columnview import (
@@ -10,7 +10,6 @@ from repro.relation.columnview import (
     validate_backend,
 )
 from repro.relation.relation import Relation, Row
-from repro.relation.index import GroupIndex, HashIndex
 from repro.relation.io import from_csv_string, read_csv, to_csv_string, write_csv
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "Schema",
     "Relation",
     "Row",
-    "GroupIndex",
-    "HashIndex",
     "validate_backend",
     "read_csv",
     "write_csv",

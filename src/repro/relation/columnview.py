@@ -476,18 +476,6 @@ class ColumnView:
         cached = self._sorted.get(attr)
         if cached is not None:
             return None if cached is _UNSORTABLE else cached
-        pushed = self._pushdown_sorted(attr)
-        if pushed is not None:
-            # Served by the storage mirror's ORDER-BY without materializing
-            # the column.  The mirror only answers for exactly-mirrorable
-            # attrs (homogeneous typed, no probabilistic cells, int order
-            # float-exact), where its (value, position) order is the pair
-            # sort below; ``exact`` stays None, so downstream vectorized
-            # consumers that need exactness fall back to bisection —
-            # byte-identical results either way.
-            col = SortedColumn(list(pushed[0]), list(pushed[1]))
-            self._sorted[attr] = col
-            return col
         typed = self.typed_column(attr)
         if typed is not None:
             values, positions, exact = kernels.sorted_pairs(
@@ -512,55 +500,6 @@ class ColumnView:
         col = SortedColumn([v for v, _ in pairs], [p for _, p in pairs])
         self._sorted[attr] = col
         return col
-
-    def _storage_provider(self, attr: str) -> Any:
-        """The columns dict's storage provider, when pushdown could help.
-
-        Non-None only for a storage-backed view whose ``attr`` is not
-        currently RAM-resident: a resident column answers faster from the
-        in-memory indexes, and a plain dict has no provider at all.
-        """
-        columns = self.columns
-        provider = getattr(columns, "provider", None)
-        if provider is None:
-            return None
-        is_resident = getattr(columns, "is_resident", None)
-        if is_resident is None or is_resident(attr):
-            return None
-        return provider
-
-    def _pushdown_sorted(self, attr: str) -> tuple[list[Any], list[int]] | None:
-        provider = self._storage_provider(attr)
-        if provider is None:
-            return None
-        result: tuple[list[Any], list[int]] | None = provider.pushdown_sorted(attr)
-        return result
-
-    def _pushdown_filter(
-        self, attr: str, op: str, value: Any
-    ) -> list[int] | None:
-        """A selection answered by the storage mirror (None = run the oracle).
-
-        Only attempted when the matching in-memory index is not already
-        built; the mirror declines (returns None) whenever its answer could
-        differ from the oracle's, so a None here is a routing decision, not
-        an empty result.
-        """
-        if value is None:
-            return None
-        if op in ("<", "<=", ">", ">="):
-            if attr in self._sorted:
-                return None
-        elif op == "=":
-            if attr in self._hash:
-                return None
-        else:
-            return None
-        provider = self._storage_provider(attr)
-        if provider is None:
-            return None
-        result: list[int] | None = provider.pushdown_filter(attr, op, value)
-        return result
 
     def hash_column(self, attr: str) -> dict[Any, list[int]] | None:
         """value -> positions over concrete cells (None if unhashable)."""
@@ -670,18 +609,6 @@ class ColumnView:
         positions pay the possible-worlds evaluation.
         """
         out: set[int] = set()
-        pushed = self._pushdown_filter(attr, op, value)
-        if pushed is not None:
-            # Served by the storage pushdown mirror without materializing
-            # the column.  Mirrorable attrs hold no probabilistic cells
-            # (kind inference declines them; an update introducing one
-            # demotes the attr), so the probabilistic branches below are
-            # vacuous and the charge matches the oracle's served path
-            # (``len(out) + len(pvals)`` with ``pvals`` empty).
-            out.update(pushed)
-            if counter is not None:
-                counter.charge_scan(len(out))
-            return out
         column = self.columns[attr]
         pvals = self.pvalue_positions(attr)
         served = False

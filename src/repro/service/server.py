@@ -149,7 +149,7 @@ class ServiceServer:
         try:
             data: Any = json.loads(body.decode())
             request = ServiceRequest.from_wire(data)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             return _http_response(
                 "400 Bad Request", _error_body(f"{type(exc).__name__}: {exc}")
             )

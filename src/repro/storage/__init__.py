@@ -1,16 +1,14 @@
-"""Out-of-core storage layer: stripe spill, mmap read-back, SQL pushdown.
+"""Out-of-core storage layer: stripe spill and mmap read-back.
 
 All engine I/O goes through this package (enforced by daisylint DL009):
 
 * :mod:`repro.storage.stripefile` — the typed on-disk stripe format,
 * :mod:`repro.storage.stripestore` — chunked spill + mmap reads + the LRU
   resident-column budget,
-* :mod:`repro.storage.sqlitebackend` — filter / order-by / join-window
-  pushdown for exactly-mirrorable columns,
 * :mod:`repro.storage.provider` — the lazy columns dict behind
   :class:`~repro.relation.columnview.ColumnView` and the per-table facade,
-* :mod:`repro.storage.manager` — the engine-owned registry that
-  ``Session.close()`` uses to release every OS handle.
+* :mod:`repro.storage.manager` — the engine-owned registry that owns the
+  spill root and counts open OS handles.
 """
 
 from repro.storage.manager import StorageManager
@@ -19,11 +17,9 @@ from repro.storage.modes import (
     STORAGE_MEMORY,
     STORAGE_MMAP,
     STORAGE_MODES,
-    STORAGE_SQLITE,
     validate_storage_mode,
 )
 from repro.storage.provider import StorageColumns, TableStorage
-from repro.storage.sqlitebackend import SqliteBackend
 from repro.storage.stripefile import (
     STRIPE_ROWS,
     StripeFormatError,
@@ -43,10 +39,8 @@ __all__ = [
     "STORAGE_MEMORY",
     "STORAGE_MMAP",
     "STORAGE_MODES",
-    "STORAGE_SQLITE",
     "STRIPE_ROWS",
     "ResidencyTracker",
-    "SqliteBackend",
     "StaleGenerationError",
     "StorageColumns",
     "StorageManager",

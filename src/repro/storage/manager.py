@@ -4,8 +4,8 @@ One :class:`StorageManager` lives on the :class:`~repro.daisy.Daisy`
 engine.  It lazily creates a temp spill root on first use, hands out one
 :class:`~repro.storage.provider.TableStorage` per registered table (with
 a deterministic ``t<slot>`` directory name — never the raw table name,
-never ``hash()``), and is the single place ``Session.close()`` and the
-leak-check fixture go to release or count OS handles.
+never ``hash()``), and is the single place the leak-check fixture goes
+to count OS handles.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ class StorageManager:
             self._closed = False
         return self._root
 
-    def table_storage(
-        self, table: str, mode: str, memory_budget_mb: int = 0
-    ) -> TableStorage:
+    def table_storage(self, table: str, memory_budget_mb: int = 0) -> TableStorage:
         """The (created-on-demand) storage facade for one table."""
         existing = self._tables.get(table)
         if existing is not None:
@@ -58,7 +56,6 @@ class StorageManager:
         storage = TableStorage(
             table,
             self.root / f"t{slot}",
-            mode,
             memory_budget_mb=memory_budget_mb,
             chunk_rows=self._chunk_rows,
         )
@@ -73,13 +70,9 @@ class StorageManager:
 
     # -- handle accounting ---------------------------------------------------------
 
-    def release_handles(self) -> None:
-        """Close every OS handle engine-wide (reopened lazily on next use)."""
-        for storage in self._tables.values():
-            storage.release_handles()
-
     def open_handle_count(self) -> int:
-        """Open fds/connections across all tables (0 after release)."""
+        """Open fds across all tables (stripe reads are transient, so 0
+        between operations)."""
         return sum(s.open_handle_count() for s in self._tables.values())
 
     def spill_root_exists(self) -> bool:

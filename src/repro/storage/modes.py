@@ -12,15 +12,12 @@ STORAGE_MEMORY = "memory"
 #: Columns spill to on-disk stripe chunks, memory-mapped back on demand
 #: under an LRU resident budget.
 STORAGE_MMAP = "mmap"
-#: Stripe spill *plus* a SQLite mirror serving filter / order-by /
-#: join-window pushdown for exactly-mirrorable columns.
-STORAGE_SQLITE = "sqlite"
 #: Resolve to one of the concrete modes, once per table
 #: (:func:`resolve_storage_mode`).
 STORAGE_AUTO = "auto"
 
 #: The concrete modes.
-STORAGE_MODES = (STORAGE_MEMORY, STORAGE_MMAP, STORAGE_SQLITE)
+STORAGE_MODES = (STORAGE_MEMORY, STORAGE_MMAP)
 
 
 def validate_storage_mode(name: str) -> str:
@@ -50,21 +47,16 @@ def resolve_storage_mode(
     n_rows: int,
     n_cols: int,
     memory_budget_mb: int,
-    theta_rules: bool = False,
 ) -> str:
     """Statically resolve ``auto`` to a concrete mode.
 
     The only resolver of ``storage="auto"``: a table that fits the budget
-    stays in memory; one that does not spills.  The SQLite mirror only goes
-    on for tables carrying general denial constraints (``theta_rules``) —
-    its pushdown surfaces (order-by for the theta-join rebuild sort, indexed
-    BETWEEN candidate windows) fire nowhere else, and on an FD-only table
-    the mirror would charge an UPDATE round-trip per repair patch for
-    nothing.  Every mode is byte-identical in results.
+    stays in memory; one that does not spills to mmap stripes.  Every mode
+    is byte-identical in results.
     """
     validate_storage_mode(mode)
     if mode != STORAGE_AUTO:
         return mode
     if storage_fits_budget(n_rows, n_cols, memory_budget_mb):
         return STORAGE_MEMORY
-    return STORAGE_SQLITE if theta_rules else STORAGE_MMAP
+    return STORAGE_MMAP

@@ -10,11 +10,10 @@ so the next access reloads from disk.  Iteration order is pinned to the
 schema order regardless of materialization order, preserving the engine's
 dict-insertion-order parity discipline.
 
-:class:`TableStorage` is the per-table facade: it owns the stripe store
-(and, in ``sqlite`` mode, the pushdown mirror), attaches itself to a view
-by swapping the columns dict and subscribing to the patch stream, and on
-every patch — data, repair, *and* resolve origins alike — rewrites only
-the touched stripe chunks and updates the SQLite mirror, bumping the
+:class:`TableStorage` is the per-table facade: it owns the stripe store,
+attaches itself to a view by swapping the columns dict and subscribing to
+the patch stream, and on every patch — data, repair, *and* resolve
+origins alike — rewrites only the touched stripe chunks, bumping the
 column generation so stale snapshots are refused rather than served new
 bytes.  That keeps spilled state consistent with PR 4's epoch-stamped
 patch stream without ever rewriting a whole column.
@@ -27,8 +26,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro._ownership import shared_engine_state
-from repro.storage.modes import STORAGE_SQLITE
-from repro.storage.sqlitebackend import SqliteBackend
 from repro.storage.stripefile import STRIPE_ROWS
 from repro.storage.stripestore import StripeStore
 
@@ -144,14 +141,6 @@ class StorageColumns(dict):  # type: ignore[type-arg]
         """The fully loaded plain-dict twin (schema order)."""
         return {attr: self[attr] for attr in self.order}
 
-    def materialized_attrs(self) -> "list[str]":
-        """The attrs currently resident (introspection for tests/benches)."""
-        return [attr for attr in self.order if dict.__contains__(self, attr)]
-
-    def is_resident(self, attr: str) -> bool:
-        """Whether ``attr`` is currently materialized (no load triggered)."""
-        return dict.__contains__(self, attr)
-
     def storage_copy(self) -> "StorageColumns":
         """The storage-aware analogue of ``dict(self.columns)`` for
         :meth:`ColumnView.patched`: shares materialized column objects and
@@ -178,7 +167,7 @@ class StorageColumns(dict):  # type: ignore[type-arg]
 
 @shared_engine_state
 class TableStorage:
-    """One table's storage facade: stripe store + optional SQLite mirror.
+    """One table's storage facade over its stripe store.
 
     Attach/detach swap a view's columns dict and the patch subscription;
     both run inside the serialized per-table passes that build or close
@@ -198,23 +187,16 @@ class TableStorage:
         self,
         table: str,
         root: Path,
-        mode: str,
         memory_budget_mb: int = 0,
         chunk_rows: int = STRIPE_ROWS,
     ) -> None:
         self.table = table
-        self.mode = mode
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.store = StripeStore(
             self.root / "stripes",
             memory_budget_mb=memory_budget_mb,
             chunk_rows=chunk_rows,
-        )
-        self.sqlite: SqliteBackend | None = (
-            SqliteBackend(self.root / "pushdown.sqlite3")
-            if mode == STORAGE_SQLITE
-            else None
         )
         self.attached = False
         self._unsubscribe: "Any | None" = None
@@ -234,10 +216,6 @@ class TableStorage:
         order = tuple(plain)
         for attr in order:
             self.store.put_column(attr, plain[attr])
-        if self.sqlite is not None:
-            self.sqlite.load_table(
-                {attr: plain[attr] for attr in order}, generation=0
-            )
         generations = {attr: self.store.generation(attr) for attr in order}
         columns = StorageColumns(self, order, generations)
         for attr in order:
@@ -251,17 +229,12 @@ class TableStorage:
         # chunks: a repair that stayed only in RAM would be silently
         # undone by a later evict-then-reload.
         columns = view.columns
-        sqlite_updates: dict[str, list[tuple[int, Any]]] = {}
         for attr, positions in batch.touched.items():
             column = columns[attr]
             self.store.rewrite_positions(attr, column, list(positions))
             generation = self.store.generation(attr)
             if isinstance(columns, StorageColumns):
                 columns.adopt(attr, column, generation)
-            if self.sqlite is not None:
-                sqlite_updates[attr] = [(pos, column[pos]) for pos in positions]
-        if self.sqlite is not None and sqlite_updates:
-            self.sqlite.update_rows(sqlite_updates, batch.version)
 
     def generation_snapshot(self) -> dict[str, int]:
         """Per-attribute stripe generations at this instant, sorted by attr.
@@ -289,31 +262,6 @@ class TableStorage:
     def forget_resident(self, owner: StorageColumns, attr: str) -> None:
         self.store.tracker.forget(owner, attr)
 
-    # -- pushdown surface (sqlite mode only; None = run the oracle path) -----------
-
-    def pushdown_filter(
-        self, attr: str, op: str, value: Any
-    ) -> "list[int] | None":
-        if self.sqlite is None or not self.attached:
-            return None
-        return self.sqlite.filter_positions(attr, op, value)
-
-    def pushdown_sorted(self, attr: str) -> "tuple[list[Any], list[int]] | None":
-        if self.sqlite is None or not self.attached:
-            return None
-        return self.sqlite.sorted_pairs(attr)
-
-    def pushdown_window(
-        self,
-        attr: str,
-        low: float,
-        high: float,
-        positions: "list[int] | None" = None,
-    ) -> "list[int] | None":
-        if self.sqlite is None or not self.attached:
-            return None
-        return self.sqlite.range_window(attr, low, high, positions)
-
     # -- lifecycle -----------------------------------------------------------------
 
     def detach(self, view: "ColumnView | None") -> None:
@@ -331,21 +279,11 @@ class TableStorage:
             self._unsubscribe = None
         self.attached = False
 
-    def release_handles(self) -> None:
-        """Close every OS handle (stripe reads are already transient)."""
-        if self.sqlite is not None:
-            self.sqlite.release_handles()
-
     def open_handle_count(self) -> int:
-        count = self.store.open_fd_count()
-        if self.sqlite is not None:
-            count += self.sqlite.open_handle_count()
-        return count
+        return self.store.open_fd_count()
 
     def close(self) -> None:
         """Release handles and delete every spill file for this table."""
-        if self.sqlite is not None:
-            self.sqlite.close()
         self.store.close()
         shutil.rmtree(self.root, ignore_errors=True)
         self.attached = False

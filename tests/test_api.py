@@ -60,6 +60,9 @@ class TestDaisyConfig:
             DaisyConfig(expected_queries=0)
         with pytest.raises(ValueError):
             DaisyConfig(dc_error_threshold=1.5)
+        for make in (DaisyConfig, Daisy):  # the deleted SQLite mirror mode
+            with pytest.raises(ValueError, match=r"\('memory', 'mmap', 'auto'\)"):
+                make(storage="sqlite")
 
     @pytest.mark.parametrize(
         "name, value",

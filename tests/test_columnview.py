@@ -330,37 +330,6 @@ class TestPatching:
         assert patched_k._sorted["k"] is view._sorted["k"]
 
 
-class TestIndexColumnarConstruction:
-    """HashIndex/GroupIndex built from a view equal their row-built twins."""
-
-    def make_relation_with_pvalues(self):
-        rel = make_relation()
-        return rel.update_cells({
-            (1, "v"): PValue([Candidate(20, 0.6), Candidate(35, 0.4)]),
-            (3, "s"): PValue([Candidate("c", 0.7), Candidate("a", 0.3)]),
-        })
-
-    def test_hash_index_parity(self):
-        from repro.relation import HashIndex
-
-        rel = self.make_relation_with_pvalues()
-        for attr in ("k", "v", "s"):
-            from_rows = HashIndex(rel, attr)
-            from_view = HashIndex(rel, attr, view=rel.column_view())
-            assert from_view.keys() == from_rows.keys(), attr
-            for key in from_rows.keys():
-                assert from_view.lookup(key) == from_rows.lookup(key), (attr, key)
-
-    def test_group_index_parity(self):
-        from repro.relation import GroupIndex
-
-        rel = self.make_relation_with_pvalues()
-        for attrs in (("s",), ("k", "s"), ("v",)):
-            from_rows = GroupIndex(rel, attrs)
-            from_view = GroupIndex(rel, attrs, view=rel.column_view())
-            assert from_view.groups() == from_rows.groups(), attrs
-
-
 class TestDaisyIntegration:
     """End-to-end: Daisy's in-place fixes keep the cached view fresh."""
 

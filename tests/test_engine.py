@@ -1,14 +1,6 @@
-"""Tests for the partitioned dataflow engine and work accounting."""
+"""Tests for the engine's work accounting."""
 
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.engine import (
-    HashPartitioner,
-    PartitionedDataset,
-    RangePartitioner,
-    WorkCounter,
-)
+from repro.engine import WorkCounter
 
 
 class TestWorkCounter:
@@ -45,128 +37,3 @@ class TestWorkCounter:
         wc.charge_partition(checked=3, pruned=2)
         d = wc.as_dict()
         assert d["partitions_checked"] == 3 and d["partitions_pruned"] == 2
-
-
-class TestHashPartitioner:
-    def test_split_covers_all(self):
-        p = HashPartitioner(4, key=lambda x: x)
-        parts = p.split(range(100))
-        assert sorted(x for part in parts for x in part) == list(range(100))
-
-    def test_same_key_same_partition(self):
-        p = HashPartitioner(4, key=lambda x: x % 7)
-        assert p.partition_of(7) == p.partition_of(14)
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            HashPartitioner(0, key=lambda x: x)
-
-
-class TestRangePartitioner:
-    def test_contiguous_ranges(self):
-        p = RangePartitioner(4, key=float).fit(list(range(100)))
-        parts = p.split(range(100))
-        flat = [x for part in parts for x in part]
-        assert sorted(flat) == list(range(100))
-        # Each partition's max <= next partition's min.
-        for i in range(len(parts) - 1):
-            if parts[i] and parts[i + 1]:
-                assert max(parts[i]) <= min(parts[i + 1])
-
-    def test_handles_duplicates(self):
-        p = RangePartitioner(4, key=float).fit([5.0] * 50)
-        parts = p.split([5.0] * 50)
-        assert sum(len(x) for x in parts) == 50
-
-    def test_empty_fit(self):
-        p = RangePartitioner(4, key=float).fit([])
-        assert len(p.boundaries) == 1
-
-    def test_max_value_not_lost(self):
-        p = RangePartitioner(3, key=float).fit(list(range(10)))
-        parts = p.split(range(10))
-        assert 9 in [x for part in parts for x in part]
-
-
-class TestPartitionedDataset:
-    def test_from_items_round_robin(self):
-        ds = PartitionedDataset.from_items(range(10), num_partitions=3)
-        assert ds.num_partitions() == 3
-        assert ds.count() == 10
-
-    def test_map_filter(self):
-        wc = WorkCounter()
-        ds = PartitionedDataset.from_items(range(10), counter=wc)
-        out = ds.map(lambda x: x * 2).filter(lambda x: x > 10)
-        assert sorted(out.collect()) == [12, 14, 16, 18]
-        assert wc.tuples_scanned == 20  # two passes of 10
-
-    def test_flat_map(self):
-        ds = PartitionedDataset.from_items([1, 2], num_partitions=1)
-        assert sorted(ds.flat_map(lambda x: [x, x]).collect()) == [1, 1, 2, 2]
-
-    def test_union(self):
-        a = PartitionedDataset.from_items([1])
-        b = PartitionedDataset.from_items([2])
-        assert sorted(a.union(b).collect()) == [1, 2]
-
-    def test_distinct(self):
-        ds = PartitionedDataset.from_items([1, 1, 2, 2, 3])
-        assert sorted(ds.distinct().collect()) == [1, 2, 3]
-
-    def test_group_by_key_groups_whole(self):
-        pairs = [(i % 3, i) for i in range(30)]
-        ds = PartitionedDataset.from_items(pairs, num_partitions=4)
-        grouped = dict(ds.group_by_key().collect())
-        assert set(grouped) == {0, 1, 2}
-        assert sorted(grouped[0]) == list(range(0, 30, 3))
-
-    def test_reduce_by_key(self):
-        pairs = [(i % 2, 1) for i in range(10)]
-        ds = PartitionedDataset.from_items(pairs)
-        out = dict(ds.reduce_by_key(lambda a, b: a + b).collect())
-        assert out == {0: 5, 1: 5}
-
-    def test_join(self):
-        left = PartitionedDataset.from_items([(1, "a"), (2, "b")])
-        right = PartitionedDataset.from_items([(1, "x"), (1, "y"), (3, "z")])
-        out = sorted(left.join(right).collect())
-        assert out == [(1, ("a", "x")), (1, ("a", "y"))]
-
-    def test_cartesian_pairs_within_partitions(self):
-        wc = WorkCounter()
-        ds = PartitionedDataset([[1, 2, 3]], counter=wc)
-        out = ds.cartesian_pairs_within_partitions(lambda a, b: a + b == 4)
-        assert out.collect() == [(1, 3)]
-        assert wc.comparisons == 3  # C(3,2)
-
-    def test_repartition(self):
-        ds = PartitionedDataset.from_items(range(10), num_partitions=2)
-        out = ds.repartition(5)
-        assert out.num_partitions() == 5
-        assert sorted(out.collect()) == list(range(10))
-
-    def test_critical_path_size(self):
-        ds = PartitionedDataset([[1, 2, 3], [4]])
-        assert ds.critical_path_size() == 3
-
-    def test_empty_dataset(self):
-        ds = PartitionedDataset([])
-        assert ds.count() == 0
-        assert ds.num_partitions() == 1
-
-
-@given(st.lists(st.integers(-50, 50), max_size=60), st.integers(1, 8))
-def test_partitioning_preserves_multiset(items, parts):
-    ds = PartitionedDataset.from_items(items, num_partitions=parts)
-    assert sorted(ds.collect()) == sorted(items)
-
-
-@given(st.lists(st.integers(0, 100), min_size=1, max_size=60), st.integers(1, 6))
-def test_range_partitioner_ordering_invariant(values, parts):
-    p = RangePartitioner(parts, key=float).fit(values)
-    split = p.split(values)
-    assert sorted(x for part in split for x in part) == sorted(values)
-    for i in range(len(split) - 1):
-        if split[i] and split[i + 1]:
-            assert max(split[i]) <= min(split[i + 1])

@@ -1,4 +1,4 @@
-"""Tests for CSV round-tripping and the secondary indexes."""
+"""Tests for CSV round-tripping."""
 
 
 import pytest
@@ -8,8 +8,6 @@ from repro.errors import SchemaError
 from repro.probabilistic import Candidate, PValue, ValueRange
 from repro.relation import (
     ColumnType,
-    GroupIndex,
-    HashIndex,
     Relation,
     from_csv_string,
     to_csv_string,
@@ -75,43 +73,6 @@ class TestCsvRoundTrip:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(SchemaError):
             from_csv_string("a:int,b:int\n1\n")
-
-
-class TestHashIndex:
-    def test_lookup(self, rel):
-        idx = HashIndex(rel, "k")
-        assert idx.lookup(2) == {1, 2}
-        assert idx.lookup(99) == set()
-
-    def test_lookup_many(self, rel):
-        idx = HashIndex(rel, "k")
-        assert idx.lookup_many([1, 2]) == {0, 1, 2}
-
-    def test_probabilistic_cells_indexed_per_candidate(self, rel):
-        pv = PValue([Candidate(7, 0.5), Candidate(8, 0.5)])
-        idx = HashIndex(rel.update_cells({(0, "k"): pv}), "k")
-        assert idx.lookup(7) == {0}
-        assert idx.lookup(8) == {0}
-
-    def test_contains_and_len(self, rel):
-        idx = HashIndex(rel, "v")
-        assert "a" in idx
-        assert len(idx) == 2
-
-
-class TestGroupIndex:
-    def test_groups(self, rel):
-        gi = GroupIndex(rel, ["k"])
-        assert gi.group_sizes() == {(1,): 1, (2,): 2}
-
-    def test_composite_key(self, rel):
-        gi = GroupIndex(rel, ["k", "v"])
-        assert len(gi) == 3
-
-    def test_probabilistic_key_most_probable(self, rel):
-        pv = PValue([Candidate(2, 0.9), Candidate(1, 0.1)])
-        gi = GroupIndex(rel.update_cells({(0, "k"): pv}), ["k"])
-        assert gi.group_sizes() == {(2,): 3}
 
 
 @given(

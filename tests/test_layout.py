@@ -17,16 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 USER_DIRS = ("src", "bench", "benchmarks", "examples", "tools")
 
-#: Today's orphans.  The first four are ROADMAP item 4a's list: deleting one
-#: is a one-line shrink here.  The other three have no user outside the
-#: tests and the docs either: ``worlds`` (the possible-worlds oracle) loads
-#: through the package's lazy name table, and ``oracle`` / ``server`` are
-#: public service entry points nothing in the repo calls.
+#: Today's orphans.  ``ownership`` is imported by the docs' snippets;
+#: ``worlds`` (the possible-worlds oracle) loads through the package's lazy
+#: name table, and ``oracle`` / ``server`` are public service entry points
+#: nothing in the repo calls.
 ALLOWED_ORPHANS = {
     "repro.core.ownership",
-    "repro.engine.dataset",
-    "repro.engine.partition",
-    "repro.relation.index",
     "repro.probabilistic.worlds",
     "repro.service.oracle",
     "repro.service.server",

@@ -691,14 +691,22 @@ class TestHttpServer:
         assert payload == want.encode()
 
     def test_bad_json_is_400(self):
+        bodies = [
+            b"{not json",
+            # OverflowError converting the infinite seq to an int.
+            b'{"client": "c", "seq": 1e999, "kind": "query", "sql": "SELECT 1"}',
+            # RecursionError from the JSON decoder.
+            b"[" * 100_000 + b"]" * 100_000,
+        ]
         engine = make_engine()
         service = DaisyService(engine)
         with service:
-            status, payload = _http(
-                service, "POST", "/v1/requests", b"{not json"
-            )
-        assert status == 400
-        assert b"error" in payload
+            for body in bodies:
+                status, payload = _http(service, "POST", "/v1/requests", body)
+                assert status == 400, body[:40]
+                assert b"error" in payload
+            status, _payload = _http(service, "GET", "/v1/status")
+        assert status == 200
 
     def test_unknown_route_is_404(self):
         engine = make_engine()

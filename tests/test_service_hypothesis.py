@@ -144,11 +144,6 @@ class TestSnapshotIsolationProperties:
     def test_spilled_schedules_under_1mb_budget(self, ops):
         _check_schedule("mmap", ops)
 
-    @settings(max_examples=4, deadline=None)
-    @given(ops=_OPS)
-    def test_sqlite_schedules_under_1mb_budget(self, ops):
-        _check_schedule("sqlite", ops)
-
 
 def test_generated_requests_interleave_clients():
     ops = [("read", _READS[0]), ("update", 0, "z"), ("read", _READS[1])]

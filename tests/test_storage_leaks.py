@@ -1,10 +1,9 @@
 """Storage handle hygiene: nothing survives a close.
 
-The lifecycle contract: ``Session.close()`` releases every storage OS
-handle engine-wide (SQLite connections; stripe reads are already
-transient ``open``+``mmap`` pairs closed before ``load_column`` returns),
-and ``Daisy.close()`` additionally deletes the spill root, leaving no
-temp files behind.  A closed engine's tables keep working — the columns
+The lifecycle contract: no storage OS handle outlives an operation (stripe
+reads are transient ``open``+``mmap`` pairs closed before ``load_column``
+returns), and ``Daisy.close()`` deletes the spill root, leaving no temp
+files behind.  A closed engine's tables keep working — the columns
 are materialized back to RAM at detach — and a later session re-spills
 them from scratch.
 
@@ -58,9 +57,8 @@ def _spilled_daisy(storage: str) -> Daisy:
     return daisy
 
 
-@pytest.mark.parametrize("storage", ["mmap", "sqlite"])
-def test_session_close_releases_every_handle(fd_leak_check, storage):
-    daisy = _spilled_daisy(storage)
+def test_session_close_releases_every_handle(fd_leak_check):
+    daisy = _spilled_daisy("mmap")
     try:
         with daisy.connect() as session:
             session.execute("SELECT city FROM hospital WHERE zip = 10003")
@@ -70,9 +68,8 @@ def test_session_close_releases_every_handle(fd_leak_check, storage):
         daisy.close()
 
 
-@pytest.mark.parametrize("storage", ["mmap", "sqlite"])
-def test_engine_close_deletes_spill_root(fd_leak_check, storage):
-    daisy = _spilled_daisy(storage)
+def test_engine_close_deletes_spill_root(fd_leak_check):
+    daisy = _spilled_daisy("mmap")
     with daisy.connect() as session:
         session.execute("SELECT city FROM hospital WHERE zip = 10003")
     assert daisy.storage_manager.spill_root_exists()
@@ -83,7 +80,7 @@ def test_engine_close_deletes_spill_root(fd_leak_check, storage):
 
 def test_closed_engine_tables_still_work(fd_leak_check):
     """Detach materializes columns back to RAM: queries keep answering."""
-    daisy = _spilled_daisy("sqlite")
+    daisy = _spilled_daisy("mmap")
     with daisy.connect() as session:
         before = session.execute(
             "SELECT city FROM hospital WHERE zip = 10003"
@@ -108,7 +105,7 @@ def test_repairs_survive_engine_close(fd_leak_check):
 
 
 def test_double_close_is_idempotent(fd_leak_check):
-    daisy = _spilled_daisy("sqlite")
+    daisy = _spilled_daisy("mmap")
     with daisy.connect() as session:
         session.execute("SELECT city FROM hospital WHERE zip = 10003")
     daisy.close()

@@ -1,9 +1,9 @@
-"""Storage-backend parity: memory / mmap / sqlite are byte-identical.
+"""Storage-backend parity: memory and mmap are byte-identical.
 
-The storage layer's contract (ROADMAP: out-of-core spill under the
-kernel-oracle discipline): where column bytes *live* — RAM lists, on-disk
-stripe chunks mapped back on demand, or the SQLite pushdown mirror — must
-never change what the engine computes.  Every suite here runs the same
+The storage layer's contract (out-of-core spill under the kernel-oracle
+discipline): where column bytes *live* — RAM lists or on-disk stripe
+chunks mapped back on demand — must never change what the engine
+computes.  Every suite here runs the same
 workload once per storage mode and asserts byte-identity of
 
 * query results (rows with exact cells, PValue candidates included),
@@ -16,8 +16,6 @@ across patch vs rebuild matrix maintenance.  ``memory`` is the oracle.
 
 from __future__ import annotations
 
-import pytest
-
 from repro import Daisy, DaisyConfig
 from repro.constraints import DenialConstraint, Predicate
 from repro.datasets import airquality, hospital, workloads
@@ -25,7 +23,7 @@ from repro.relation import ColumnType, Relation
 from repro.storage.modes import STORAGE_MODES
 
 #: A budget (1 MB) small enough that every fixture table is over it, so
-#: mmap/sqlite modes really spill and the LRU tracker really evicts.
+#: mmap mode really spills and the LRU tracker really evicts.
 TIGHT_BUDGET_MB = 1
 
 
@@ -112,22 +110,19 @@ def _dc_relation(n: int = 300, seed: int = 7):
 
 
 class TestFdWorkloadParity:
-    """FD cleaning (hospital): every mode equals the memory oracle."""
+    """FD cleaning (hospital): mmap equals the memory oracle."""
 
     def test_serial_modes_byte_identical(self):
         oracle = _run_workload(
             _hospital_make("memory"), "hospital", _hospital_queries()
         )
-        for mode in ("mmap", "sqlite"):
-            got = _run_workload(
-                _hospital_make(mode), "hospital", _hospital_queries()
-            )
-            assert got == oracle, f"storage={mode} diverged from memory"
+        got = _run_workload(_hospital_make("mmap"), "hospital", _hospital_queries())
+        assert got == oracle
 
 
 class TestDcWorkloadParity:
     """DC theta-join workload: repairs route through the patch stream and
-    must survive evict-then-reload in every spill mode."""
+    must survive evict-then-reload."""
 
     def _make(self, storage, **config_kwargs):
         def make() -> Daisy:
@@ -154,23 +149,19 @@ class TestDcWorkloadParity:
 
     def test_serial_modes_byte_identical(self):
         oracle = _run_workload(self._make("memory"), "lineorder", self._queries())
-        for mode in ("mmap", "sqlite"):
-            got = _run_workload(self._make(mode), "lineorder", self._queries())
-            assert got == oracle, f"storage={mode} diverged from memory"
+        got = _run_workload(self._make("mmap"), "lineorder", self._queries())
+        assert got == oracle
 
-    @pytest.mark.parametrize("mode", ["mmap", "sqlite"])
-    def test_maintenance_modes_byte_identical(self, mode):
+    def test_maintenance_modes_byte_identical(self):
         """patch vs rebuild maintenance, each spilled, equals the oracle."""
         oracle = _run_workload(self._make("memory"), "lineorder", self._queries())
         for maintenance in ("patch", "rebuild"):
             got = _run_workload(
-                self._make(mode, matrix_maintenance=maintenance),
+                self._make("mmap", matrix_maintenance=maintenance),
                 "lineorder",
                 self._queries(),
             )
-            assert got == oracle, (
-                f"storage={mode} maintenance={maintenance} diverged"
-            )
+            assert got == oracle, f"maintenance={maintenance} diverged"
 
 
 class TestAirQualityBatchParity:
@@ -209,7 +200,6 @@ class TestAirQualityBatchParity:
             finally:
                 daisy.close()
         assert results["mmap"] == results["memory"]
-        assert results["sqlite"] == results["memory"]
 
 
 def _wide_relation(n_rows: int = 6000) -> Relation:
@@ -225,6 +215,15 @@ def _wide_relation(n_rows: int = 6000) -> Relation:
         [(i, i % 97, float(i) / 3.0, f"v{i % 53}") for i in range(n_rows)],
         name="wide",
     )
+
+
+def _over_budget_dc_relation(n_rows: int = 400):
+    """:func:`_dc_relation` padded with zero columns past the 1 MiB budget."""
+    base, dc = _dc_relation(n_rows)
+    pad = 18_725 // n_rows
+    schema = [*base.schema.columns, *((f"p{j}", ColumnType.INT) for j in range(pad))]
+    rows = [row.values + (0,) * pad for row in base.rows]
+    return Relation.from_rows(schema, rows, name="lineorder"), dc
 
 
 class TestAutoModeParity:
@@ -243,20 +242,39 @@ class TestAutoModeParity:
         state = daisy.register_table("wide", _wide_relation(500))
         assert state.resolved_storage() == "memory"  # nothing spilled, nothing to close
 
+    def test_auto_spills_an_over_budget_dc_table_to_mmap(self):
+        """A DC-carrying table over budget resolves to mmap stripes."""
+        homes = []
+
+        def make(storage):
+            def build() -> Daisy:
+                relation, dc = _over_budget_dc_relation()
+                daisy = Daisy(
+                    use_cost_model=False, storage=storage, memory_budget_mb=TIGHT_BUDGET_MB
+                )
+                state = daisy.register_table("lineorder", relation)
+                daisy.add_rule("lineorder", dc)
+                homes.append(state.resolved_storage())
+                return daisy
+
+            return build
+
+        queries = [
+            "SELECT orderkey FROM lineorder WHERE extended_price < 500.0",
+            "SELECT orderkey, discount FROM lineorder WHERE extended_price >= 3000.0",
+        ]
+        got = _run_workload(make("auto"), "lineorder", queries)
+        assert got == _run_workload(make("memory"), "lineorder", queries)
+        assert homes == ["mmap", "memory"]
+
     def test_auto_resolution_survives_a_later_rule(self):
         """An FD-only table over budget spills to mmap stripes and stays
         there when a DC arrives later: no re-homing, same answers."""
-        base, dc = _dc_relation(400)
-        pad = 18_725 // 400  # extra columns that put 400 rows over 1 MiB
-        schema = [*base.schema.columns, *((f"p{j}", ColumnType.INT) for j in range(pad))]
-        rows = [row.values + (0,) * pad for row in base.rows]
-
         def run(storage):
+            relation, dc = _over_budget_dc_relation()
             daisy = Daisy(use_cost_model=False, storage=storage, memory_budget_mb=TIGHT_BUDGET_MB)
             try:
-                state = daisy.register_table(
-                    "lineorder", Relation.from_rows(schema, rows, name="lineorder")
-                )
+                state = daisy.register_table("lineorder", relation)
                 daisy.add_rule("lineorder", "orderkey -> discount")
                 with daisy.connect() as session:
                     first = session.execute("SELECT discount FROM lineorder WHERE orderkey < 50")
@@ -301,26 +319,5 @@ class TestEvictionReallyHappens:
             assert any(t.store.chunk_writes > 0 for t in stores)
             assert any(t.store.tracker.evictions > 0 for t in stores)
             assert any(t.store.chunk_reads > 0 for t in stores)
-        finally:
-            daisy.close()
-
-    def test_sqlite_pushdown_serves_queries(self):
-        rel, dc = _dc_relation()
-        daisy = Daisy(
-            use_cost_model=False, storage="sqlite",
-            memory_budget_mb=TIGHT_BUDGET_MB,
-        )
-        try:
-            daisy.register_table("lineorder", rel)
-            daisy.add_rule("lineorder", dc)
-            with daisy.connect() as session:
-                session.execute(
-                    "SELECT orderkey FROM lineorder WHERE extended_price < 500.0"
-                )
-            stores = daisy.storage_manager.tables()
-            assert any(
-                t.sqlite is not None and t.sqlite.queries_served > 0
-                for t in stores
-            )
         finally:
             daisy.close()
