@@ -10,13 +10,10 @@ factor, and where strategy switches occur.
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro import Daisy, DaisyConfig
 from repro.baselines import OfflineCleaner
@@ -24,18 +21,14 @@ from repro.constraints.dc import Rule
 from repro.core.state import TableState
 from repro.query.executor import Executor
 from repro.query.planner import PlannerCatalog
-from repro.relation import BACKEND_COLUMNAR, BACKENDS
 from repro.relation.relation import Relation
-
-#: Where BENCH_*.json result files are written (repo root).
-RESULTS_DIR = Path(__file__).resolve().parent.parent
 
 
 def bench_scale() -> float:
     """Global scale multiplier (``REPRO_BENCH_SCALE``, default 1.0).
 
-    CI's smoke job sets a small value so the benchmark runs in seconds;
-    the committed BENCH_*.json files are produced at scale 1.0.
+    CI's smoke job sets a small value so every module runs in seconds;
+    comparative shape assertions bind only at scale 1.0.
     """
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
@@ -43,68 +36,6 @@ def bench_scale() -> float:
 def scaled(n: int, minimum: int = 1) -> int:
     """``n`` adjusted by the global benchmark scale, floored at ``minimum``."""
     return max(minimum, int(round(n * bench_scale())))
-
-
-def record_benchmark(name: str, payload: dict) -> Path:
-    """Merge ``payload`` into ``BENCH_<name>.json`` at the repo root.
-
-    Existing top-level keys not present in ``payload`` are preserved, so
-    multiple tests of one benchmark module can contribute sections to the
-    same file.  Every write stamps scale and platform metadata.  Runs at a
-    non-default scale (CI smoke, local experiments) go to a scale-suffixed
-    file so they never clobber the committed scale-1.0 evidence.
-    """
-    scale = bench_scale()
-    suffix = "" if scale == 1.0 else f"_scale{scale:g}"
-    path = RESULTS_DIR / f"BENCH_{name}{suffix}.json"
-    data: dict = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            data = {}
-    data.update(payload)
-    data["meta"] = {
-        "scale": bench_scale(),
-        "python": platform.python_version(),
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def compare_backends(
-    make_inputs: Callable[[], tuple[Relation, Sequence[Rule], Sequence[str]]],
-    table: str = "lineorder",
-    use_cost_model: bool = False,
-    repeats: int = 2,
-) -> dict:
-    """Run the same Daisy workload on every backend; report the speedup.
-
-    ``make_inputs`` must build fresh inputs per call (cleaning mutates the
-    relation in place).  Returns per-backend best-of-``repeats`` seconds and
-    work units plus the columnar-over-rowstore speedup.
-    """
-    out: dict = {}
-    for backend in BACKENDS:
-        best: RunResult | None = None
-        for _ in range(max(1, repeats)):
-            relation, rules, queries = make_inputs()
-            result = run_daisy(
-                relation, rules, queries, table=table,
-                use_cost_model=use_cost_model, backend=backend,
-                label=f"Daisy[{backend}]",
-            )
-            if best is None or result.seconds < best.seconds:
-                best = result
-        assert best is not None
-        out[backend] = {"seconds": best.seconds, "work_units": best.work_units}
-    rowstore = out["rowstore"]["seconds"]
-    columnar = out[BACKEND_COLUMNAR]["seconds"]
-    out["speedup_columnar_over_rowstore"] = (
-        rowstore / columnar if columnar > 0 else float("inf")
-    )
-    return out
 
 
 @dataclass
@@ -116,7 +47,6 @@ class RunResult:
     work_units: int
     cumulative_seconds: list[float] = field(default_factory=list)
     switch_index: int | None = None
-    extras: dict = field(default_factory=dict)
 
     def row(self) -> str:
         switch = (
@@ -138,19 +68,20 @@ def run_daisy(
     extra_tables: dict[str, Relation] | None = None,
     extra_rules: dict[str, Sequence[Rule]] | None = None,
     dc_error_threshold: float = 0.2,
-    backend: str = BACKEND_COLUMNAR,
 ) -> RunResult:
     """Execute a workload with Daisy (optionally without the cost model)."""
-    daisy = _make_daisy(
-        relation, rules, table,
-        DaisyConfig(
-            use_cost_model=use_cost_model,
-            expected_queries=expected_queries or len(queries),
-            dc_error_threshold=dc_error_threshold,
-            backend=backend,
-        ),
-        extra_tables, extra_rules,
-    )
+    daisy = Daisy(config=DaisyConfig(
+        use_cost_model=use_cost_model,
+        expected_queries=expected_queries or len(queries),
+        dc_error_threshold=dc_error_threshold,
+    ))
+    daisy.register_table(table, relation)
+    for rule in rules:
+        daisy.add_rule(table, rule)
+    for name, rel in (extra_tables or {}).items():
+        daisy.register_table(name, rel)
+        for rule in (extra_rules or {}).get(name, ()):
+            daisy.add_rule(name, rule)
     with daisy.connect() as session:
         started = time.perf_counter()
         report = session.execute_workload(list(queries))
@@ -164,60 +95,6 @@ def run_daisy(
     )
 
 
-def _make_daisy(
-    relation: Relation,
-    rules: Sequence[Rule],
-    table: str,
-    config: DaisyConfig,
-    extra_tables: dict[str, Relation] | None = None,
-    extra_rules: dict[str, Sequence[Rule]] | None = None,
-) -> Daisy:
-    daisy = Daisy(config=config)
-    daisy.register_table(table, relation)
-    for rule in rules:
-        daisy.add_rule(table, rule)
-    for name, rel in (extra_tables or {}).items():
-        daisy.register_table(name, rel)
-        for rule in (extra_rules or {}).get(name, ()):
-            daisy.add_rule(name, rule)
-    return daisy
-
-
-def run_daisy_batch(
-    relation: Relation,
-    rules: Sequence[Rule],
-    queries: Sequence[str],
-    table: str = "lineorder",
-    label: str = "Daisy (batched)",
-    dc_error_threshold: float = 0.2,
-    backend: str = BACKEND_COLUMNAR,
-) -> RunResult:
-    """Execute a workload through ``Session.execute_batch``."""
-    daisy = _make_daisy(
-        relation, rules, table,
-        DaisyConfig(
-            use_cost_model=False,
-            dc_error_threshold=dc_error_threshold,
-            backend=backend,
-        ),
-    )
-    with daisy.connect() as session:
-        started = time.perf_counter()
-        batch = session.execute_batch(list(queries))
-        seconds = time.perf_counter() - started
-    return RunResult(
-        label=label,
-        seconds=seconds,
-        work_units=daisy.total_work(),
-        cumulative_seconds=batch.report.cumulative_seconds(),
-        switch_index=batch.report.switch_query_index,
-        extras={
-            "rule_groups": len(batch.groups),
-            "shared_scope": sum(g.scope_size for g in batch.groups),
-        },
-    )
-
-
 def run_offline(
     relation: Relation,
     rules: Sequence[Rule],
@@ -226,24 +103,23 @@ def run_offline(
     label: str = "Full cleaning + queries",
     extra_tables: dict[str, Relation] | None = None,
     extra_rules: dict[str, Sequence[Rule]] | None = None,
-    backend: str = BACKEND_COLUMNAR,
 ) -> RunResult:
     """Clean everything upfront (offline baseline), then run the workload."""
     started = time.perf_counter()
-    cleaner = OfflineCleaner(backend=backend)
+    cleaner = OfflineCleaner()
     work = 0
     cleaned, report = cleaner.clean(relation, list(rules))
     work += report.work.total()
     catalog = PlannerCatalog()
-    states = {table: TableState(relation=cleaned, backend=backend)}
+    states = {table: TableState(relation=cleaned)}
     catalog.add_table(table, cleaned.schema)
     for name, rel in (extra_tables or {}).items():
-        extra_cleaner = OfflineCleaner(backend=backend)
+        extra_cleaner = OfflineCleaner()
         rel_rules = list((extra_rules or {}).get(name, ()))
         if rel_rules:
             rel, rel_report = extra_cleaner.clean(rel, rel_rules)
             work += rel_report.work.total()
-        states[name] = TableState(relation=rel, backend=backend)
+        states[name] = TableState(relation=rel)
         catalog.add_table(name, rel.schema)
     executor = Executor(states, catalog, cleaning_enabled=False)
     cumulative = []

@@ -14,9 +14,7 @@ import pytest
 
 from _harness import (
     bench_scale,
-    compare_backends,
     print_series,
-    record_benchmark,
     run_daisy,
     run_offline,
     scaled,
@@ -69,37 +67,3 @@ def test_fig05_series(benchmark, num_orderkeys):
     if bench_scale() >= 1.0:
         assert daisy.seconds < offline.seconds
         assert daisy.work_units < offline.work_units
-
-
-def test_fig05_backend_comparison():
-    """Columnar vs row-store backend on the full Fig. 5 workload grid.
-
-    Records per-backend wall clock in BENCH_fig05.json; at default scale the
-    columnar backend (sorted/hash selection indexes, index-driven relaxation,
-    positional FD grouping) clears 2x over the row-store oracle.
-    """
-    per_cardinality = {}
-    total = {"columnar": 0.0, "rowstore": 0.0}
-    for num_orderkeys in CARDINALITIES:
-        def make_inputs(num_orderkeys=num_orderkeys):
-            dirty, fd, queries = _setup(num_orderkeys)
-            return dirty, [fd], queries
-
-        comparison = compare_backends(make_inputs)
-        per_cardinality[str(num_orderkeys)] = comparison
-        total["columnar"] += comparison["columnar"]["seconds"]
-        total["rowstore"] += comparison["rowstore"]["seconds"]
-    aggregate = total["rowstore"] / total["columnar"]
-    record_benchmark(
-        "fig05",
-        {
-            "backend_comparison": per_cardinality,
-            "backend_speedup_aggregate": aggregate,
-        },
-    )
-    print(f"\n  fig05 columnar speedup over rowstore: {aggregate:.2f}x")
-    # Identical results are asserted in tests/test_backend_parity.py; here we
-    # gate the performance claim (soft floor: timing noise on shared CI; at
-    # smoke scale fixed costs dominate, so only recording applies).
-    if bench_scale() >= 1.0:
-        assert aggregate >= 1.4

@@ -35,7 +35,7 @@ def _setup():
     return dirty, fd, queries
 
 
-def _run_all():
+def _run_series():
     dirty, fd, queries = _setup()
     incremental = run_daisy(
         dirty, [fd], queries, use_cost_model=False, label="Daisy w/o cost"
@@ -51,7 +51,7 @@ def _run_all():
 
 def test_fig07_strategy_switch(benchmark):
     incremental, switching, offline = benchmark.pedantic(
-        _run_all, rounds=1, iterations=1
+        _run_series, rounds=1, iterations=1
     )
     print_series("Fig.7 — strategy switch (totals)", [incremental, switching, offline])
     print_cumulative("Fig.7", [incremental, switching, offline], step=9)

@@ -13,9 +13,7 @@ import pytest
 
 from _harness import (
     bench_scale,
-    compare_backends,
     print_series,
-    record_benchmark,
     run_daisy,
     run_offline,
     scaled,
@@ -83,34 +81,3 @@ def test_fig09_gap_widens_with_rate(benchmark):
     gap_high = o80.work_units - d80.work_units
     print_series("Fig.9 — extremes", [d20, o20, d80, o80])
     assert gap_high > gap_low
-
-
-def test_fig09_backend_comparison():
-    """Columnar vs row-store backend across the violation-rate grid.
-
-    The columnar gains hold at every error rate: the incremental
-    ColumnView patching keeps the derived indexes warm even when 80% of
-    groups are repaired.  Recorded in BENCH_fig09.json.
-    """
-    per_rate = {}
-    total = {"columnar": 0.0, "rowstore": 0.0}
-    for rate in RATES:
-        def make_inputs(rate=rate):
-            dirty, fd, queries = _setup(rate)
-            return dirty, [fd], queries
-
-        comparison = compare_backends(make_inputs)
-        per_rate[f"{rate:.0%}"] = comparison
-        total["columnar"] += comparison["columnar"]["seconds"]
-        total["rowstore"] += comparison["rowstore"]["seconds"]
-    aggregate = total["rowstore"] / total["columnar"]
-    record_benchmark(
-        "fig09",
-        {
-            "backend_comparison": per_rate,
-            "backend_speedup_aggregate": aggregate,
-        },
-    )
-    print(f"\n  fig09 columnar speedup over rowstore: {aggregate:.2f}x")
-    if bench_scale() >= 1.0:
-        assert aggregate >= 1.4

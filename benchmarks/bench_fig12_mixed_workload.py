@@ -30,7 +30,7 @@ def _setup():
     return lineorder, phi, supplier, psi, queries
 
 
-def _run_all():
+def _run_series():
     lo, phi, sup, psi, queries = _setup()
     incremental = run_daisy(
         lo, [phi], queries, use_cost_model=False, label="Daisy w/o cost",
@@ -51,7 +51,7 @@ def _run_all():
 
 def test_fig12_mixed_workload(benchmark):
     incremental, switching, offline = benchmark.pedantic(
-        _run_all, rounds=1, iterations=1
+        _run_series, rounds=1, iterations=1
     )
     print_series(
         "Fig.12 — mixed workload (totals)", [incremental, switching, offline]

@@ -60,10 +60,10 @@ def test_fig13_cleaning_cost_independent_of_complexity(benchmark):
     """Cleaning work (errors fixed, scans on lineorder/supplier) should be
     roughly the same across Q1/Q2/Q3 — extra joins add plain query cost only."""
 
-    def run_all():
+    def run_series():
         return _run("q1"), _run("q2"), _run("q3")
 
-    q1, q2, q3 = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    q1, q2, q3 = benchmark.pedantic(run_series, rounds=1, iterations=1)
     print_cumulative("Fig.13 (cumulative)", [q1, q2, q3], step=2)
     # Work units include the extra joins; the *cleaning* part is bounded by
     # Q1's total (same rules, same lineorder/supplier scope in all three).

@@ -70,14 +70,14 @@ def _holoclean_three_runs():
 
 
 def test_table7_provenance_benefit(benchmark):
-    def run_all():
+    def run_series():
         return (
             _three_separate_runs(),
             _single_incremental_run(),
             _holoclean_three_runs(),
         )
 
-    three, one, holo = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    three, one, holo = benchmark.pedantic(run_series, rounds=1, iterations=1)
     print("\n=== Table 7 — incremental rule arrival (total seconds) ===")
     print(f"  Daisy (3 executions)  {three:8.3f}s")
     print(f"  Daisy (1 execution)   {one:8.3f}s")

@@ -6,11 +6,11 @@ session's behaviour stable for its whole lifetime: two sessions connected
 with different configs can run side by side over the same registered tables
 without trampling each other's strategy state.
 
-Three knobs accept ``"auto"``.  ``column_backend`` and ``storage`` resolve
-once per table by a static rule on its size (see ``docs/cost-model.md``);
-``matrix_maintenance`` picks patch-vs-rebuild per update batch.  Every
-``auto`` choice is byte-identical to the corresponding forced configuration
-in violations, repairs, and work units; only wall-clock cost depends on it.
+Two knobs accept ``"auto"``: ``column_backend`` and ``storage`` resolve
+once per table by a static rule on its size (see ``docs/cost-model.md``).
+Every ``auto`` choice is byte-identical to the corresponding forced
+configuration in violations, repairs, and work units; only wall-clock cost
+depends on it.
 Every query runs on one serial execution path.
 """
 
@@ -20,7 +20,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
-from repro.detection.maintenance import MAINTENANCE_AUTO, validate_maintenance_mode
 from repro.relation.columnview import BACKEND_COLUMNAR, validate_backend
 from repro.relation.kernels import COLUMN_AUTO, validate_column_backend
 from repro.storage.modes import STORAGE_MEMORY, validate_storage_mode
@@ -69,16 +68,6 @@ class DaisyConfig:
         must agree with it.  All choices are byte-identical in violations,
         repairs, relations, sort orders, and work units (see
         ``docs/kernels.md``); only wall-clock cost differs.
-    matrix_maintenance:
-        How theta-join detection matrices follow external data updates
-        (``Daisy.update_table`` / ``update_rows``): ``"auto"`` (default)
-        lets the per-batch cost hook pick patch-vs-rebuild, ``"patch"``
-        forces positional stripe patching (falling back to a rebuild only
-        when the striped-row set itself changes), ``"rebuild"`` re-derives
-        every stripe wholesale on each sync — the maintenance oracle.  The
-        strategies are byte-identical in structure, checked-cell
-        invalidation, violations, repairs, and work units; they differ only
-        in maintenance cost.
     storage:
         Where a table's columns live between passes: ``"memory"`` (default
         — fully RAM-resident, the historical behaviour and the parity
@@ -113,7 +102,6 @@ class DaisyConfig:
     dc_error_threshold: float = 0.2
     backend: str = BACKEND_COLUMNAR
     column_backend: str = COLUMN_AUTO
-    matrix_maintenance: str = MAINTENANCE_AUTO
     storage: str = STORAGE_MEMORY
     memory_budget_mb: int = 0
     diagnostics: str = DIAGNOSTICS_NONE
@@ -122,7 +110,6 @@ class DaisyConfig:
         validate_backend(self.backend)
         validate_diagnostics(self.diagnostics)
         validate_column_backend(self.column_backend)
-        validate_maintenance_mode(self.matrix_maintenance)
         validate_storage_mode(self.storage)
         if self.memory_budget_mb < 0:
             raise ValueError("memory_budget_mb must be >= 0")

@@ -29,7 +29,6 @@ from repro.constraints.parser import parse_rule
 from repro._ownership import shared_engine_state
 from repro.core.operators import CleanReport
 from repro.core.state import TableState, UpdateReport
-from repro.detection.maintenance import MaintenancePolicy
 from repro.engine.stats import WorkCounter
 from repro.errors import PlanError
 from repro.query.ast import Query
@@ -42,8 +41,7 @@ __all__ = ["Daisy", "QueryLogEntry", "WorkloadReport"]
 
 #: Config fields baked into the engine or its tables — ``backend``,
 #: ``column_backend``, ``storage`` and ``memory_budget_mb`` into every
-#: :class:`TableState` and ``matrix_maintenance`` into its
-#: :class:`MaintenancePolicy` at ``register_table``, ``diagnostics`` into the
+#: :class:`TableState` at ``register_table``, ``diagnostics`` into the
 #: witness activated by ``Daisy.__init__`` — which a session therefore
 #: cannot override.
 ENGINE_SCOPED_FIELDS = (
@@ -51,7 +49,6 @@ ENGINE_SCOPED_FIELDS = (
     "column_backend",
     "storage",
     "memory_budget_mb",
-    "matrix_maintenance",
     "diagnostics",
 )
 
@@ -140,7 +137,6 @@ class Daisy:
             relation=relation,
             backend=self.config.backend,
             column_backend=self.config.column_backend,
-            maintenance=MaintenancePolicy(mode=self.config.matrix_maintenance),
             storage=self.config.storage,
             memory_budget_mb=budget,
             storage_factory=lambda: manager.table_storage(name, budget),
@@ -190,8 +186,8 @@ class Daisy:
         is brought up to date lazily — on its next use — by replaying the
         update off the ColumnView patch stream, re-sorting only touched
         stripes and invalidating only affected cells (see
-        :mod:`repro.detection.maintenance` and the
-        ``DaisyConfig.matrix_maintenance`` knob).  Bumps the table's data
+        :mod:`repro.detection.maintenance`, whose cost hook picks
+        patch-vs-rebuild per sync).  Bumps the table's data
         epoch (``TableState.data_epoch`` — the data analogue of the
         plan-cache registration epoch); cached plans survive (plans never
         depend on cell values), session cost models refresh.

@@ -14,21 +14,17 @@ from repro.detection.estimator import (
     estimate_errors,
 )
 from repro.detection.maintenance import (
-    MAINTENANCE_MODES,
     MaintenancePolicy,
     MaintenanceReport,
     matrix_fingerprint,
     sync_matrix,
-    validate_maintenance_mode,
 )
 
 __all__ = [
-    "MAINTENANCE_MODES",
     "MaintenancePolicy",
     "MaintenanceReport",
     "matrix_fingerprint",
     "sync_matrix",
-    "validate_maintenance_mode",
     "FdViolationReport",
     "ViolatingGroup",
     "detect_fd_violations",

@@ -67,7 +67,7 @@ if TYPE_CHECKING:  # state.py imports this module; avoid the cycle at runtime
 
 logger = logging.getLogger(__name__)
 
-#: Maintenance modes for ``DaisyConfig.matrix_maintenance``.
+#: Maintenance modes for :attr:`MaintenancePolicy.mode`.
 MAINTENANCE_AUTO = "auto"
 MAINTENANCE_PATCH = "patch"
 MAINTENANCE_REBUILD = "rebuild"

@@ -29,7 +29,7 @@ Activation is reference-counted (every ``Daisy(diagnostics="witness")``
 activates, every ``close()`` deactivates) and idempotent per class.  On
 final deactivation the witness restores every wrapped method and, when
 ``REPRO_WITNESS_REPORT`` names a path, writes its JSON report there —
-the artifact the CI race-witness job uploads.
+the artifact the CI ``witness`` job uploads.
 """
 
 from __future__ import annotations

@@ -1,13 +1,9 @@
-"""Metrics: repair accuracy and timing helpers."""
+"""Metrics: repair accuracy and the engine's wall-clock read."""
 
 from repro.metrics.accuracy import AccuracyReport, evaluate_relation, evaluate_repairs
-from repro.metrics.timing import Measurement, Stopwatch, timed
 
 __all__ = [
     "AccuracyReport",
     "evaluate_repairs",
     "evaluate_relation",
-    "Stopwatch",
-    "Measurement",
-    "timed",
 ]

@@ -1,18 +1,13 @@
-"""Response-time measurement helpers for the benchmark harness.
+"""The engine's wall-clock read.
 
-Benchmarks report both wall-clock seconds and deterministic work units
-(:class:`~repro.engine.stats.WorkCounter` tallies); :class:`Stopwatch` and
-:func:`timed` keep the measurement code out of the benchmark bodies.
+Reports carry both wall-clock seconds and deterministic work units
+(:class:`~repro.engine.stats.WorkCounter` tallies); :func:`clock` is the
+one place the seconds come from.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator
-
-from repro.engine.stats import WorkCounter
 
 
 def clock() -> float:
@@ -25,54 +20,3 @@ def clock() -> float:
     ``src/`` — and gives tests a single seam to stub time through.
     """
     return time.perf_counter()
-
-
-@dataclass
-class Measurement:
-    """One timed run: seconds + work-unit delta."""
-
-    seconds: float = 0.0
-    work: WorkCounter | None = None
-    label: str = ""
-
-    def work_units(self) -> int:
-        return self.work.total() if self.work is not None else 0
-
-    def __str__(self) -> str:
-        wu = f", {self.work_units()} wu" if self.work is not None else ""
-        return f"{self.label or 'run'}: {self.seconds:.3f}s{wu}"
-
-
-class Stopwatch:
-    """Accumulates named measurements (one per experiment series point)."""
-
-    def __init__(self) -> None:
-        self.measurements: list[Measurement] = []
-
-    @contextmanager
-    def measure(
-        self, label: str, counter: WorkCounter | None = None
-    ) -> Iterator[Measurement]:
-        before = counter.snapshot() if counter is not None else None
-        started = time.perf_counter()
-        measurement = Measurement(label=label)
-        try:
-            yield measurement
-        finally:
-            measurement.seconds = time.perf_counter() - started
-            if counter is not None and before is not None:
-                measurement.work = counter.delta_since(before)
-            self.measurements.append(measurement)
-
-    def by_label(self) -> dict[str, Measurement]:
-        return {m.label: m for m in self.measurements}
-
-    def report(self) -> str:
-        return "\n".join(str(m) for m in self.measurements)
-
-
-def timed(fn: Callable[[], Any]) -> tuple[Any, float]:
-    """Run ``fn`` and return (result, seconds)."""
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started

@@ -41,9 +41,7 @@ submission order, which is a subsequence of admission order.  Hence
 replaying the admission log serially — one persistent session per client,
 requests in admission order (:func:`repro.service.oracle.replay_serial`)
 — performs the identical sequence of state transitions, and every
-response is byte-identical.  ``policy.mode == "global-lock"`` collapses
-all tickets onto one turnstile (full serialization): the naive baseline
-the benchmark compares against.
+response is byte-identical.
 """
 
 from __future__ import annotations
@@ -67,16 +65,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["DaisyService", "ServicePolicy", "TableTurnstile"]
 
-#: Scheduling modes: per-table turnstiles (concurrent reads on disjoint
-#: tables) or one global turnstile (the naive fully-serialized baseline).
-MODE_PER_TABLE = "per-table"
-MODE_GLOBAL_LOCK = "global-lock"
-_GLOBAL_KEY = "__global__"
-
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """Admission and scheduling knobs of one :class:`DaisyService`.
+    """Admission knobs of one :class:`DaisyService`.
 
     ``budget_units <= 0`` disables admission control (every request
     admits immediately, in submission order — what the parity suite
@@ -87,15 +79,7 @@ class ServicePolicy:
     the whole budget is shed outright.
     """
 
-    mode: str = MODE_PER_TABLE
     budget_units: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in (MODE_PER_TABLE, MODE_GLOBAL_LOCK):
-            raise ValueError(
-                f"unknown service mode {self.mode!r}; expected "
-                f"{MODE_PER_TABLE!r} or {MODE_GLOBAL_LOCK!r}"
-            )
 
 
 @shared_engine_state
@@ -146,8 +130,7 @@ class _WorkItem:
     future: "Future[ServiceResponse]"
     admitted: int
     #: (turnstile, ticket) pairs in sorted-table order, tickets issued in
-    #: admission order; one entry per *distinct* turnstile (in global-lock
-    #: mode every table collapses onto one, which must be ticketed once).
+    #: admission order; one entry per touched table.
     tickets: list[tuple[TableTurnstile, int]] = field(default_factory=list)
     decision: PassDecision | None = None
     estimate: float = 0.0
@@ -411,12 +394,9 @@ class DaisyService:
             decision=decision,
             estimate=decision.estimated_cost - self.queued_units,
         )
-        ticketed: set[int] = set()
         for table in request.touched_tables():
             turnstile = self._turnstile(table)
-            if id(turnstile) not in ticketed:
-                ticketed.add(id(turnstile))
-                item.tickets.append((turnstile, turnstile.issue()))
+            item.tickets.append((turnstile, turnstile.issue()))
         self.queued_units = decision.estimated_cost
         self._worker(request.client).enqueue(item)
 
@@ -428,11 +408,10 @@ class DaisyService:
         del self._pending[:]
 
     def _turnstile(self, table: str) -> TableTurnstile:
-        key = _GLOBAL_KEY if self.policy.mode == MODE_GLOBAL_LOCK else table
-        turnstile = self._turnstiles.get(key)
+        turnstile = self._turnstiles.get(table)
         if turnstile is None:
             turnstile = TableTurnstile()
-            self._turnstiles[key] = turnstile
+            self._turnstiles[table] = turnstile
         return turnstile
 
     def _worker(self, client: str) -> _ClientWorker:
@@ -457,7 +436,6 @@ class DaisyService:
                 "fully_synced": visibility.fully_synced,
             }
         return {
-            "mode": self.policy.mode,
             "budget_units": self.policy.budget_units,
             "queued_units": self.queued_units,
             "admitted": len(self.admission_log),

@@ -29,6 +29,9 @@ from repro.service.scheduler import DaisyService
 __all__ = ["ServiceServer"]
 
 _MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Longest request or header line the server reads (asyncio's default
+#: stream limit, made explicit so the error bodies can name it).
+_MAX_LINE_BYTES = 64 * 1024
 
 
 def _http_response(status: str, body: bytes) -> bytes:
@@ -65,7 +68,7 @@ class ServiceServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start serving; returns ``(host, port)``."""
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=_MAX_LINE_BYTES
         )
         sockname = self._server.sockets[0].getsockname()
         self.port = sockname[1]
@@ -100,7 +103,13 @@ class ServiceServer:
             writer.close()
 
     async def _respond(self, reader: asyncio.StreamReader) -> bytes:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        try:
+            request_line = (await reader.readline()).decode("latin-1").strip()
+        except ValueError:  # the line overran the stream limit
+            return _http_response(
+                "400 Bad Request",
+                _error_body(f"request line longer than {_MAX_LINE_BYTES} bytes"),
+            )
         if not request_line:
             return _http_response("400 Bad Request", _error_body("empty request"))
         parts = request_line.split()
@@ -111,7 +120,13 @@ class ServiceServer:
         method, path, _version = parts
         headers: dict[str, str] = {}
         while True:
-            line = (await reader.readline()).decode("latin-1").strip()
+            try:
+                line = (await reader.readline()).decode("latin-1").strip()
+            except ValueError:
+                return _http_response(
+                    "431 Request Header Fields Too Large",
+                    _error_body(f"header line longer than {_MAX_LINE_BYTES} bytes"),
+                )
             if not line:
                 break
             name, _, value = line.partition(":")

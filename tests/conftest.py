@@ -15,8 +15,8 @@ def _race_witness_harness():
     """Run the whole suite under the race witness when asked.
 
     ``REPRO_TEST_DIAGNOSTICS=witness`` activates the ownership witness
-    (:mod:`repro.diagnostics.witness`) for every test — the CI race-witness
-    job runs the parity suites this way.  On teardown the witness writes
+    (:mod:`repro.diagnostics.witness`) for every test — the CI ``witness``
+    job runs the whole tier-1 suite this way.  On teardown the witness writes
     its report (``REPRO_WITNESS_REPORT``) and the session FAILS if any
     observed write contradicted the declared ownership contracts.
     """

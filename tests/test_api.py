@@ -6,8 +6,9 @@ import dataclasses
 import pytest
 
 from repro import BatchResult, Daisy, DaisyConfig, PreparedQuery, Session
+from repro.baselines import OfflineCleaner
 from repro.daisy import ENGINE_SCOPED_FIELDS
-from repro.datasets import airquality, hospital
+from repro.datasets import airquality, hospital, ssb, workloads
 from repro.errors import QueryError, SessionError
 from repro.query.ast import ColumnRef, Condition, Query
 from repro.relation import ColumnType, Relation
@@ -45,7 +46,7 @@ def relations_identical(a: Relation, b: Relation) -> bool:
 class TestDaisyConfig:
     def test_defaults_and_replace(self):
         config = DaisyConfig()
-        assert config.use_cost_model and len(dataclasses.fields(config)) == 9
+        assert config.use_cost_model and len(dataclasses.fields(config)) == 8
         off = config.replace(use_cost_model=False)
         assert not off.use_cost_model and config.use_cost_model
 
@@ -72,10 +73,11 @@ class TestDaisyConfig:
             ("num_shards", 2),
             ("auto_max_workers", 2),
             ("batch_strategy", "shared"),
+            ("matrix_maintenance", "rebuild"),
         ],
     )
     def test_removed_knobs_fail_loudly(self, name, value):
-        assert len(dataclasses.fields(DaisyConfig)) == 9
+        assert len(dataclasses.fields(DaisyConfig)) == 8
         with pytest.raises(TypeError, match=name):
             DaisyConfig(**{name: value})
         with pytest.raises(TypeError, match=name):
@@ -112,8 +114,7 @@ class TestSession:
     def test_engine_scoped_override_rejected(self, field):
         other = {
             "backend": "rowstore", "column_backend": "python", "storage": "mmap",
-            "memory_budget_mb": 7, "matrix_maintenance": "rebuild",
-            "diagnostics": "witness",
+            "memory_budget_mb": 7, "diagnostics": "witness",
         }[field]
         d = make_engine()  # every field at its default
         with pytest.raises(ValueError, match=field):
@@ -405,6 +406,38 @@ class TestExecuteBatch:
         assert sum(e.errors_fixed for e in batch.report.entries) == sum(
             g.report.errors_fixed for g in batch.groups
         ) > 0
+
+    def test_full_footprint_batch_repairs_match_offline(self):
+        # The queries' ranges cover the whole orderkey domain, so the shared
+        # pass repairs the whole table — row for row what the offline
+        # cleaner produces.  (Answers are not compared with a loop of
+        # execute: lhs-range filters make those order-dependent.)
+        def setup():
+            dirty, fd, _ = ssb.dirty_lineorder(
+                240, 30, 30, error_group_fraction=0.25, seed=103
+            )
+            queries = workloads.random_selectivity_queries(
+                "lineorder", "orderkey", 30, 8, seed=103,
+                projection="orderkey, suppkey",
+            )
+            return dirty, fd, queries
+
+        dirty, fd, queries = setup()
+        d = Daisy(use_cost_model=False)
+        d.register_table("lineorder", dirty)
+        d.add_rule("lineorder", fd)
+        with d.connect() as session:
+            batch = session.execute_batch(queries)
+        assert len(batch) == len(queries)
+        assert d.probabilistic_cells("lineorder") > 0
+
+        dirty, fd, _ = setup()
+        offline, _report = OfflineCleaner().clean(dirty, [fd])
+        repaired = d.table("lineorder")
+        assert len(repaired) == len(offline)
+        offline_by_tid = offline.tid_index()
+        for row in repaired.rows:
+            assert row.values == offline_by_tid[row.tid].values
 
 
 class TestCostModelState:

@@ -8,8 +8,8 @@ cold-rebuilt twin on the hospital and air-quality fixtures; and the
 patched matrices return byte-identical violations and work units to the
 cold rebuild.
 
-Engine-level: a session running with ``matrix_maintenance="patch"`` and
-one running with ``"rebuild"`` (the pre-maintenance oracle: full rebuild
+Engine-level: an engine whose tables force ``MaintenancePolicy(mode="patch")``
+and one forcing ``"rebuild"`` (the pre-maintenance oracle: full rebuild
 per sync) produce identical query results and final relations — the two
 modes may differ in how much checked-cell bookkeeping survives (that is
 the perf win), never in answers.
@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Daisy, DaisyConfig
+from repro import Daisy
 from repro.constraints import DenialConstraint, Predicate
 from repro.datasets import airquality, hospital
-from repro.detection.maintenance import matrix_fingerprint, sync_matrix
+from repro.detection.maintenance import (
+    MaintenancePolicy,
+    matrix_fingerprint,
+    sync_matrix,
+)
 from repro.detection.thetajoin import ThetaJoinMatrix
 from repro.engine.stats import WorkCounter
 from repro.probabilistic.value import Candidate, PValue
@@ -193,9 +197,9 @@ def _relation_fingerprint(rel: Relation) -> list[tuple]:
 
 def _run_update_workload(fixture: str, mode: str) -> dict:
     make_rel, make_dc, make_updates = FIXTURES[fixture]
-    daisy = Daisy(config=DaisyConfig(use_cost_model=False, matrix_maintenance=mode))
+    daisy = Daisy(use_cost_model=False)
     table = fixture
-    daisy.register_table(table, make_rel())
+    daisy.register_table(table, make_rel()).maintenance = MaintenancePolicy(mode=mode)
     if fixture == "hospital":
         for fd in hospital.hospital_rules():
             daisy.add_rule(table, fd)

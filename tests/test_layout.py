@@ -17,12 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 USER_DIRS = ("src", "bench", "benchmarks", "examples", "tools")
 
-#: Today's orphans.  ``ownership`` is imported by the docs' snippets;
-#: ``worlds`` (the possible-worlds oracle) loads through the package's lazy
+#: Today's orphans.  ``worlds`` (the possible-worlds oracle) loads through the package's lazy
 #: name table, and ``oracle`` / ``server`` are public service entry points
 #: nothing in the repo calls.
 ALLOWED_ORPHANS = {
-    "repro.core.ownership",
     "repro.probabilistic.worlds",
     "repro.service.oracle",
     "repro.service.server",

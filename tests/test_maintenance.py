@@ -217,8 +217,6 @@ class TestSyncMatrix:
             validate_maintenance_mode("lazy")
         with pytest.raises(ValueError):
             MaintenancePolicy(mode="auto", rebuild_margin=0)
-        with pytest.raises(ValueError):
-            DaisyConfig(matrix_maintenance="bogus")
 
 
 class TestPatchStream:
@@ -271,10 +269,8 @@ class TestPatchStream:
 class TestTableStateLifecycle:
     def _daisy(self, mode="auto", n=240):
         rel = numbers_relation(n)
-        daisy = Daisy(
-            config=DaisyConfig(use_cost_model=False, matrix_maintenance=mode)
-        )
-        daisy.register_table("lineorder", rel)
+        daisy = Daisy(use_cost_model=False)
+        daisy.register_table("lineorder", rel).maintenance = MaintenancePolicy(mode=mode)
         daisy.add_rule("lineorder", numbers_dc())
         return daisy
 
@@ -472,13 +468,8 @@ class TestTableStateLifecycle:
 
     def test_rowstore_backend_update_path(self):
         rel = numbers_relation(100)
-        daisy = Daisy(
-            config=DaisyConfig(
-                use_cost_model=False, backend="rowstore",
-                matrix_maintenance="patch",
-            )
-        )
-        daisy.register_table("lineorder", rel)
+        daisy = Daisy(use_cost_model=False, backend="rowstore")
+        daisy.register_table("lineorder", rel).maintenance = MaintenancePolicy(mode="patch")
         daisy.add_rule("lineorder", numbers_dc())
         state = daisy.states["lineorder"]
         report = daisy.update_table("lineorder", {(5, "price"): 1234.5})

@@ -4,9 +4,8 @@ The core invariant under test: every response a concurrent
 :class:`~repro.service.DaisyService` run produces is **byte-identical**
 (:meth:`ServiceResponse.encode`) to the one the serial one-session-at-a-
 time oracle (:func:`~repro.service.replay_serial`) produces replaying the
-same admission log on a fresh identical engine — across patch/rebuild
-matrix maintenance and the global-lock scheduling baseline.  Final repaired relations and per-table
-work-unit totals must match too.
+same admission log on a fresh identical engine.  Final repaired relations
+and per-table work-unit totals must match too.
 
 The seeded-bug tests at the bottom are the isolation counterpart of
 ``tests/test_witness.py``: ``tests/fixtures/seeded_isolation.py`` plants
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import Daisy, DaisyConfig
+from repro import Daisy
 from repro.core.costmodel import DECISION_ADMISSION
 from repro.diagnostics import global_witness
 from repro.relation import ColumnType, Relation
@@ -111,8 +110,8 @@ def _orders_relation() -> Relation:
     )
 
 
-def make_engine(config: DaisyConfig | None = None) -> Daisy:
-    engine = Daisy(config=config or DaisyConfig(use_cost_model=False))
+def make_engine() -> Daisy:
+    engine = Daisy(use_cost_model=False)
     engine.register_table("cities", _cities_relation())
     engine.add_rule("cities", "zip -> city", name="fd_cities")
     engine.register_table("orders", _orders_relation())
@@ -205,10 +204,9 @@ def generate_log(
 
 def run_concurrent(
     log: list[ServiceRequest],
-    config: DaisyConfig | None = None,
     policy: ServicePolicy | None = None,
 ) -> tuple[Daisy, DaisyService, list[ServiceResponse]]:
-    engine = make_engine(config)
+    engine = make_engine()
     service = DaisyService(engine, policy=policy)
     with service:
         futures = [service.submit(request) for request in log]
@@ -228,10 +226,9 @@ def assert_serial_parity(
     engine: Daisy,
     service: DaisyService,
     responses: list[ServiceResponse],
-    config: DaisyConfig | None = None,
 ) -> None:
     """The full byte-parity check against the serial oracle."""
-    oracle_engine = make_engine(config)
+    oracle_engine = make_engine()
     oracle = replay_serial(oracle_engine, service.admission_log)
     by_admitted = {r.admitted: r for r in responses if r.admitted >= 0}
     assert len(by_admitted) == len(oracle)
@@ -369,41 +366,20 @@ class TestSnapshotPrimitives:
 # Concurrent-equals-serial parity
 # ---------------------------------------------------------------------------
 
-_CONFIGS = [
-    pytest.param(DaisyConfig(use_cost_model=False), id="serial"),
-    pytest.param(
-        DaisyConfig(use_cost_model=False, matrix_maintenance="patch"),
-        id="maintenance-patch",
-    ),
-    pytest.param(
-        DaisyConfig(use_cost_model=False, matrix_maintenance="rebuild"),
-        id="maintenance-rebuild",
-    ),
-]
-
-
 class TestConcurrentParity:
-    @pytest.mark.parametrize("config", _CONFIGS)
-    def test_concurrent_matches_serial_oracle(self, config):
+    def test_concurrent_matches_serial_oracle(self):
         log = generate_log(seed=11, clients=3, per_client=6)
-        engine, service, responses = run_concurrent(log, config=config)
+        engine, service, responses = run_concurrent(log)
         # Budget 0: everything admits, in submission order.
         assert [r.admitted for r in responses] == list(range(len(log)))
         assert all(r.status in ("ok", "error") for r in responses)
-        assert_serial_parity(engine, service, responses, config=config)
+        assert_serial_parity(engine, service, responses)
 
     def test_distinct_seeds_distinct_logs_all_parity(self):
         for seed in (1, 2):
             log = generate_log(seed=seed, clients=4, per_client=4)
             engine, service, responses = run_concurrent(log)
             assert_serial_parity(engine, service, responses)
-
-    def test_global_lock_mode_is_parity_equivalent(self):
-        log = generate_log(seed=11, clients=3, per_client=6)
-        policy = ServicePolicy(mode="global-lock")
-        engine, service, responses = run_concurrent(log, policy=policy)
-        assert set(service._turnstiles) == {"__global__"}
-        assert_serial_parity(engine, service, responses)
 
     def test_per_table_mode_keeps_one_turnstile_per_table(self):
         log = generate_log(seed=11, clients=3, per_client=6)
@@ -626,31 +602,44 @@ class TestSeededIsolationBugs:
 # ---------------------------------------------------------------------------
 
 
+def _exchanges(
+    service: DaisyService, *requests: bytes, half_close: bool = False
+) -> list[tuple[int, bytes]]:
+    """Send each raw request on its own connection to one fresh in-process
+    server; ``half_close`` ends each request with EOF.  Returns (status,
+    payload) per request."""
+
+    async def exchange(host: str, port: int, data: bytes) -> tuple[int, bytes]:
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(data)
+        if half_close:
+            writer.write_eof()
+        await writer.drain()
+        raw = await reader.read()
+        writer.close()
+        head_bytes, _, payload = raw.partition(b"\r\n\r\n")
+        return int(head_bytes.split(b" ", 2)[1]), payload
+
+    async def go() -> list[tuple[int, bytes]]:
+        server = ServiceServer(service)
+        host, port = await server.start()
+        try:
+            return [await exchange(host, port, data) for data in requests]
+        finally:
+            await server.stop()
+
+    return asyncio.run(go())
+
+
+_STATUS = b"GET /v1/status HTTP/1.1\r\n\r\n"
+
+
 def _http(
     service: DaisyService, method: str, path: str, body: bytes = b""
 ) -> tuple[int, bytes]:
     """One HTTP exchange against a fresh in-process server."""
-
-    async def go() -> tuple[int, bytes]:
-        server = ServiceServer(service)
-        host, port = await server.start()
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {host}\r\nContent-Length: {len(body)}\r\n\r\n"
-            )
-            writer.write(head.encode() + body)
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-        finally:
-            await server.stop()
-        head_bytes, _, payload = raw.partition(b"\r\n\r\n")
-        status = int(head_bytes.split(b" ", 2)[1])
-        return status, payload
-
-    return asyncio.run(go())
+    head = f"{method} {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+    return _exchanges(service, head.encode() + body)[0]
 
 
 class TestHttpServer:
@@ -673,7 +662,7 @@ class TestHttpServer:
             status, payload = _http(service, "GET", "/v1/status")
             assert status == 200
             snap = json.loads(payload)
-            assert snap["mode"] == "per-table"
+            assert snap["budget_units"] == 0.0
             assert snap["admitted"] == 1
             assert snap["tables"]["cities"]["data_epoch"] == 0
 
@@ -719,33 +708,12 @@ class TestHttpServer:
     def test_bad_content_length_is_400_and_server_keeps_serving(self, content_length):
         # Regression: an unguarded int() answered 500 (or read the wrong
         # number of bytes) for a Content-Length that is not a count.
-        async def exchange(host: str, port: int, head: str) -> tuple[int, bytes]:
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(head.encode())
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            head_bytes, _, payload = raw.partition(b"\r\n\r\n")
-            return int(head_bytes.split(b" ", 2)[1]), payload
-
-        async def go() -> list[tuple[int, bytes]]:
-            server = ServiceServer(service)
-            host, port = await server.start()
-            try:
-                bad = (
-                    "POST /v1/requests HTTP/1.1\r\n"
-                    f"Content-Length: {content_length}\r\n\r\n"
-                )
-                return [
-                    await exchange(host, port, bad),
-                    await exchange(host, port, "GET /v1/status HTTP/1.1\r\n\r\n"),
-                ]
-            finally:
-                await server.stop()
-
+        bad = f"POST /v1/requests HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n"
         service = DaisyService(make_engine())
         with service:
-            (status, payload), (next_status, _) = asyncio.run(go())
+            (status, payload), (next_status, _) = _exchanges(
+                service, bad.encode(), _STATUS
+            )
         assert status == 400
         assert "Content-Length" in json.loads(payload)["error"]
         assert next_status == 200
@@ -754,35 +722,44 @@ class TestHttpServer:
     def test_truncated_body_is_400_and_server_keeps_serving(self, body):
         # Regression: readexactly's IncompleteReadError answered 500 when
         # the client half-closed before sending the announced body.
-        async def exchange(host: str, port: int, data: bytes) -> tuple[int, bytes]:
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(data)
-            writer.write_eof()
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            head_bytes, _, payload = raw.partition(b"\r\n\r\n")
-            return int(head_bytes.split(b" ", 2)[1]), payload
-
-        async def go() -> list[tuple[int, bytes]]:
-            server = ServiceServer(service)
-            host, port = await server.start()
-            try:
-                head = b"POST /v1/requests HTTP/1.1\r\nContent-Length: 50\r\n\r\n"
-                return [
-                    await exchange(host, port, head + body),
-                    await exchange(host, port, b"GET /v1/status HTTP/1.1\r\n\r\n"),
-                ]
-            finally:
-                await server.stop()
-
+        head = b"POST /v1/requests HTTP/1.1\r\nContent-Length: 50\r\n\r\n"
         service = DaisyService(make_engine())
         with service:
-            (status, payload), (next_status, _) = asyncio.run(go())
+            (status, payload), (next_status, _) = _exchanges(
+                service, head + body, _STATUS, half_close=True
+            )
         assert status == 400
         assert json.loads(payload)["error"] == (
             f"request body ended after {len(body)} of 50 bytes"
         )
+        assert next_status == 200
+
+    @pytest.mark.parametrize(
+        "request_bytes, want_status, want_error",
+        [
+            (
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                400, "request line longer than 65536 bytes",
+            ),
+            (
+                b"GET /v1/status HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+                431, "header line longer than 65536 bytes",
+            ),
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_over_long_line_is_4xx_and_server_keeps_serving(
+        self, request_bytes, want_status, want_error
+    ):
+        # Regression: the stream's line limit surfaced as a ValueError that
+        # answered 500.
+        service = DaisyService(make_engine())
+        with service:
+            (status, payload), (next_status, _) = _exchanges(
+                service, request_bytes, _STATUS
+            )
+        assert status == want_status
+        assert json.loads(payload) == {"error": want_error}
         assert next_status == 200
 
     def test_shed_request_is_429(self):
@@ -811,3 +788,10 @@ class TestStatusSurface:
                 == engine.states[table].data_epoch
             )
         assert status["clients"] == sorted({r.client for r in log})
+
+    def test_policy_and_status_carry_no_scheduling_mode(self):
+        # Per-table turnstiles are the only schedule.
+        with pytest.raises(TypeError, match="mode"):
+            ServicePolicy(mode="per-table")
+        service = DaisyService(make_engine())
+        assert "mode" not in service.status()

@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro import Daisy, DaisyConfig
 from repro.constraints import DenialConstraint, Predicate
 from repro.datasets import airquality, hospital, workloads
+from repro.detection.maintenance import MaintenancePolicy
 from repro.relation import ColumnType, Relation
 from repro.storage.modes import STORAGE_MODES
 
@@ -124,7 +125,7 @@ class TestDcWorkloadParity:
     """DC theta-join workload: repairs route through the patch stream and
     must survive evict-then-reload."""
 
-    def _make(self, storage, **config_kwargs):
+    def _make(self, storage, maintenance="auto"):
         def make() -> Daisy:
             rel, dc = _dc_relation()
             daisy = Daisy(
@@ -132,10 +133,10 @@ class TestDcWorkloadParity:
                     use_cost_model=False,
                     storage=storage,
                     memory_budget_mb=TIGHT_BUDGET_MB,
-                    **config_kwargs,
                 )
             )
-            daisy.register_table("lineorder", rel)
+            state = daisy.register_table("lineorder", rel)
+            state.maintenance = MaintenancePolicy(mode=maintenance)
             daisy.add_rule("lineorder", dc)
             return daisy
 
@@ -157,9 +158,7 @@ class TestDcWorkloadParity:
         oracle = _run_workload(self._make("memory"), "lineorder", self._queries())
         for maintenance in ("patch", "rebuild"):
             got = _run_workload(
-                self._make("mmap", matrix_maintenance=maintenance),
-                "lineorder",
-                self._queries(),
+                self._make("mmap", maintenance), "lineorder", self._queries()
             )
             assert got == oracle, f"maintenance={maintenance} diverged"
 

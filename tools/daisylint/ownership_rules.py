@@ -3,7 +3,7 @@
 These are *project* rules: they run over the merged :class:`ProjectModel`
 (symbol table + attribute-mutation map + Session reachability), not over
 a single file's AST.  They enforce the ownership contract declared with
-``repro/core/ownership.py``'s annotations — the same contract the runtime
+``repro/_ownership.py``'s annotations — the same contract the runtime
 race witness (``repro/diagnostics/witness.py``) validates dynamically:
 
 * DL101 — a ``@shared_engine_state`` attribute is mutated outside its

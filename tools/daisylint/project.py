@@ -22,7 +22,7 @@ analysis and the on-disk result cache:
 
 Mutation *sites* are dotted (``repro.core.state.TableState.apply_updates``)
 and seam declarations match on dotted-boundary suffix, the same convention
-``repro.core.ownership`` documents for the runtime witness — the static
+``repro._ownership`` documents for the runtime witness — the static
 and dynamic checkers share one seam language by construction.
 """
 
@@ -926,7 +926,7 @@ class ProjectModel:
 
 
 # ---------------------------------------------------------------------------
-# Seam matching (the shared convention — see repro/core/ownership.py)
+# Seam matching (the shared convention — see repro/_ownership.py)
 # ---------------------------------------------------------------------------
 
 
